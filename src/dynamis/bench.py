@@ -1,16 +1,20 @@
 """Replay harness: run an update stream through an algorithm and report.
 
-A replay session wraps one algorithm instance behind a uniform surface
-(apply / query / check / summary) so the CLI and the scaling fitter do not
-care which module they drive.  Compatibility is checked up front: incremental
-algorithms reject streams with deletions, flow algorithms require a flow
-header, and so on; a mismatch raises before any event is applied.
+``REGISTRY`` holds one row per algorithm: how to build it over a stream, what
+the stream must look like, which method answers In-MIS queries, how to check
+it, and what its result is.  Every algorithm takes events through
+``apply(event)``, so ``replay`` drives all of them the same way and is the
+only place a run report is built.  Compatibility is checked up front from the
+row: a mismatch raises before any event is applied.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from math import isqrt, log
+from operator import attrgetter
+from typing import Any, Callable
 
 from .errors import IncompatibleStreamError, VerificationFailedError
 from .flow import FlowNetwork, IncrementalFlow
@@ -23,176 +27,173 @@ from .generators import (
 from .graph import DynGraph
 from .matching import DynamicMatching, IncrementalMatching
 from .mis import ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
+from .mis.implicit import _ceil_sqrt
 from .oracles import is_mis, static_max_flow
-from .stream import (
-    DeleteEdge,
-    DeleteVertex,
-    InsertEdge,
-    InsertVertex,
-    QueryInMis,
-    UpdateStream,
-)
-
-ALGORITHMS = (
-    "mis-simple",
-    "mis-inc",
-    "mis-2level",
-    "mis-implicit",
-    "flow-fd",
-    "flow-inc",
-    "match-fd",
-    "match-inc",
-)
-
-_MIS_ALGS = ("mis-simple", "mis-inc", "mis-2level", "mis-implicit")
-_INCREMENTAL_ALGS = ("mis-inc", "flow-inc", "match-inc")
+from .stream import DeleteVertex, InsertVertex, QueryInMis, UpdateStream
 
 
-def check_compatible(algorithm: str, stream: UpdateStream) -> None:
-    if algorithm not in ALGORITHMS:
+@dataclass(frozen=True)
+class Algorithm:
+    """One registry row.
+
+    ``--verify`` calls the ``audit`` method and then, for modules whose
+    audit does not consult an oracle itself, ``oracle(alg, graph(alg))``,
+    which returns a failure detail or None.  ``graph(alg)`` is also the
+    structure whose ``n`` and ``m`` the report gives.
+    """
+
+    build: Callable[[UpdateStream], Any]
+    result: tuple[str, Callable[[Any], int]]
+    audit: str = "verify"
+    oracle: Callable[[Any, Any], str | None] | None = None
+    graph: Callable[[Any], Any] = attrgetter("g")
+    query: str | None = None  # method answering In-MIS queries
+    flow: bool = False  # needs a `flow s t` header; no vertex deletions
+    incremental: bool = False  # rejects deletions
+    isolated_vertices: bool = False  # vertex insertions may not carry edges
+
+
+def _on_graph(cls) -> Callable[[UpdateStream], Any]:
+    return lambda stream: cls(DynGraph(stream.n))
+
+
+def _on_network(cls) -> Callable[[UpdateStream], Any]:
+    def build(stream: UpdateStream):
+        s, t = stream.flow
+        return cls(max(stream.n, max(s, t) + 1), s, t)
+
+    return build
+
+
+def _incremental_matching(stream: UpdateStream) -> IncrementalMatching:
+    alg = IncrementalMatching()
+    for _ in range(stream.n):
+        alg.insert_vertex()
+    return alg
+
+
+def _mis_oracle(alg, g) -> str | None:
+    report = is_mis(g.adj, alg.mis())
+    return None if report.ok else report.detail
+
+
+def _flow_oracle(alg, net) -> str | None:
+    want = static_max_flow(net.vertices(), net.directed_edges(), net.s, net.t)
+    return None if net.F == want else f"F={net.F}, oracle={want}"
+
+
+_MIS_SIZE = ("mis_size", lambda alg: len(alg.mis()))
+_FLOW_VALUE = ("flow_value", attrgetter("F"))
+_MATCHING_SIZE = ("matching_size", attrgetter("cardinality"))
+
+REGISTRY: dict[str, Algorithm] = {
+    "mis-simple": Algorithm(_on_graph(SimpleMis), _MIS_SIZE, oracle=_mis_oracle, query="contains"),
+    "mis-inc": Algorithm(
+        _on_graph(IncrementalMis), _MIS_SIZE, oracle=_mis_oracle, query="contains",
+        incremental=True, isolated_vertices=True,
+    ),
+    "mis-2level": Algorithm(
+        _on_graph(TwoLevelMis), _MIS_SIZE, oracle=_mis_oracle, query="contains",
+    ),
+    "mis-implicit": Algorithm(
+        _on_graph(ImplicitMis), ("independent_set_size", lambda alg: len(alg.independent_set())),
+        audit="audit", query="in_mis_query", isolated_vertices=True,
+    ),
+    "flow-fd": Algorithm(
+        _on_network(FlowNetwork), _FLOW_VALUE, oracle=_flow_oracle, graph=lambda net: net,
+        flow=True, isolated_vertices=True,
+    ),
+    "flow-inc": Algorithm(
+        _on_network(IncrementalFlow), _FLOW_VALUE, oracle=_flow_oracle, graph=attrgetter("net"),
+        flow=True, incremental=True, isolated_vertices=True,
+    ),
+    "match-fd": Algorithm(_on_graph(DynamicMatching), _MATCHING_SIZE),
+    "match-inc": Algorithm(
+        _incremental_matching, _MATCHING_SIZE, incremental=True, isolated_vertices=True,
+    ),
+}
+ALGORITHMS = tuple(REGISTRY)
+
+
+def check_compatible(algorithm: str, stream: UpdateStream) -> Algorithm:
+    """The algorithm's registry row; raises if the stream does not suit it."""
+    row = REGISTRY.get(algorithm)
+    if row is None:
         raise IncompatibleStreamError(f"unknown algorithm {algorithm!r}")
-    is_flow_alg = algorithm in ("flow-fd", "flow-inc")
-    if is_flow_alg and stream.flow is None:
+    if row.flow and stream.flow is None:
         raise IncompatibleStreamError(f"{algorithm} needs a `flow s t` header")
-    if not is_flow_alg and stream.flow is not None:
+    if not row.flow and stream.flow is not None:
         raise IncompatibleStreamError(f"{algorithm} cannot replay a flow stream")
-    if algorithm in _INCREMENTAL_ALGS and not stream.is_incremental():
+    if row.incremental and not stream.is_incremental():
         raise IncompatibleStreamError(f"{algorithm} rejects deletions")
-    if algorithm not in _MIS_ALGS and stream.has_queries():
+    if row.query is None and stream.has_queries():
         raise IncompatibleStreamError(f"{algorithm} does not answer In-MIS queries")
-    if algorithm in ("mis-inc", "mis-implicit", "match-inc"):
+    if row.isolated_vertices:
         if any(isinstance(e, InsertVertex) and e.neighbors for e in stream.events):
             raise IncompatibleStreamError(
                 f"{algorithm} accepts only isolated vertex insertions"
             )
-    if is_flow_alg:
-        for e in stream.events:
-            if isinstance(e, DeleteVertex) or (isinstance(e, InsertVertex) and e.neighbors):
-                raise IncompatibleStreamError(f"{algorithm} supports edge updates only")
+    if row.flow and any(isinstance(e, DeleteVertex) for e in stream.events):
+        raise IncompatibleStreamError(f"{algorithm} does not delete vertices")
+    return row
 
 
-class ReplaySession:
-    """One algorithm instance driven event by event."""
+def replay(
+    algorithm: str,
+    stream: UpdateStream,
+    verify: bool = False,
+    on_query: Callable[[int, int], Any] | None = None,
+) -> dict:
+    """Run the whole stream and build a RunReport dictionary.
 
-    def __init__(self, algorithm: str, stream: UpdateStream):
-        check_compatible(algorithm, stream)
-        self.algorithm = algorithm
-        self.stream = stream
-        self.query_results: list[tuple[int, int]] = []
-        if algorithm in _MIS_ALGS:
-            self.g = DynGraph(stream.n)
-            maker = {
-                "mis-simple": SimpleMis,
-                "mis-inc": IncrementalMis,
-                "mis-2level": TwoLevelMis,
-                "mis-implicit": ImplicitMis,
-            }[algorithm]
-            self.alg = maker(self.g)
-        elif algorithm in ("flow-fd", "flow-inc"):
-            s, t = stream.flow
-            maker = FlowNetwork if algorithm == "flow-fd" else IncrementalFlow
-            self.alg = maker(max(stream.n, max(s, t) + 1), s, t)
-        elif algorithm == "match-fd":
-            self.g = DynGraph(stream.n)
-            self.alg = DynamicMatching(self.g)
-        else:
-            self.alg = IncrementalMatching()
-            for _ in range(stream.n):
-                self.alg.insert_vertex()
-            self.g = self.alg.g
-        self.meter = self.alg.meter
+    With ``verify`` the row's check runs before the first event and after
+    every event.  ``on_query(v, answer)`` is called as each In-MIS query is
+    answered, before the report exists.
+    """
+    row = check_compatible(algorithm, stream)
+    alg = row.build(stream)
+    query = getattr(alg, row.query) if row.query else None
+    query_results: list[list[int]] = []
 
-    def step(self, event) -> None:
-        if isinstance(event, QueryInMis):
-            if self.algorithm == "mis-implicit":
-                answer = self.alg.in_mis_query(event.v)
-            else:
-                answer = self.alg.contains(event.v)
-            self.query_results.append((event.v, int(answer)))
-            return
-        if self.algorithm in ("flow-fd", "flow-inc"):
-            if isinstance(event, InsertEdge):
-                self.alg.insert_edge(event.u, event.v)
-            elif isinstance(event, DeleteEdge):
-                self.alg.delete_edge(event.u, event.v)
-            else:
-                self.alg.add_vertex()
-            return
-        self.alg.apply(event)
+    def check(event_index: int) -> None:
+        if not getattr(alg, row.audit)():
+            raise VerificationFailedError(event_index, "internal audit failed")
+        detail = row.oracle(alg, row.graph(alg)) if row.oracle else None
+        if detail is not None:
+            raise VerificationFailedError(event_index, detail)
 
-    def check(self, event_index: int) -> None:
-        """Module verifier plus independent oracle; raises on any failure."""
-        alg, name = self.alg, self.algorithm
-        if name in ("mis-simple", "mis-inc", "mis-2level"):
-            if not alg.verify():
-                raise VerificationFailedError(event_index, "internal audit failed")
-            report = is_mis(self.g.adj, alg.mis())
-            if not report.ok:
-                raise VerificationFailedError(event_index, report.detail)
-        elif name == "mis-implicit":
-            if not alg.audit():
-                raise VerificationFailedError(event_index, "internal audit failed")
-        elif name in ("flow-fd", "flow-inc"):
-            net = alg if name == "flow-fd" else alg.net
-            if not alg.verify():
-                raise VerificationFailedError(event_index, "flow audit failed")
-            want = static_max_flow(net.vertices(), net.directed_edges(), net.s, net.t)
-            if net.F != want:
-                raise VerificationFailedError(event_index, f"F={net.F}, oracle={want}")
-        else:
-            if not alg.verify():
-                raise VerificationFailedError(event_index, "matching audit failed")
-
-    def result(self) -> dict:
-        name = self.algorithm
-        if name in ("mis-simple", "mis-inc", "mis-2level"):
-            return {"mis_size": len(self.alg.mis())}
-        if name == "mis-implicit":
-            return {"independent_set_size": len(self.alg.independent_set())}
-        if name in ("flow-fd", "flow-inc"):
-            return {"flow_value": self.alg.F}
-        return {"matching_size": self.alg.cardinality}
-
-    def final_shape(self) -> tuple[int, int]:
-        if self.algorithm in ("flow-fd", "flow-inc"):
-            net = self.alg if self.algorithm == "flow-fd" else self.alg.net
-            return len(net.out_edges), net.m
-        return self.g.n, self.g.m
-
-
-def replay(algorithm: str, stream: UpdateStream, verify: bool = False) -> dict:
-    """Run the whole stream and build a RunReport dictionary."""
-    session = ReplaySession(algorithm, stream)
     start = time.perf_counter()
     verified: bool | None = None
     if verify:
-        session.check(-1)
+        check(-1)
         verified = True
     for i, event in enumerate(stream.events):
-        session.step(event)
+        if isinstance(event, QueryInMis):
+            answer = int(query(event.v))
+            query_results.append([event.v, answer])
+            if on_query is not None:
+                on_query(event.v, answer)
+        else:
+            alg.apply(event)
         if verify:
-            session.check(i)
+            check(i)
     wall = time.perf_counter() - start
-    n, m = session.final_shape()
-    meter = session.meter
+    g = row.graph(alg)
+    meter = alg.meter
     report = {
         "algorithm": algorithm,
-        "stream": {"events": len(stream.events), "final_n": n, "final_m": m},
+        "stream": {"events": len(stream.events), "final_n": g.n, "final_m": g.m},
         "totals": dict(meter.totals(), wall_time_s=round(wall, 6)),
         "per_update_max": {
             "edges_touched": meter.max_op_edges_touched,
             "adjustments": meter.max_op_adjustments,
         },
         "verified": verified,
-        "result": session.result(),
+        "result": {row.result[0]: row.result[1](alg)},
     }
-    if session.query_results:
-        report["query_results"] = [list(q) for q in session.query_results]
+    if query_results:
+        report["query_results"] = query_results
     return report
-
-
-def _ceil_sqrt(x: int) -> int:
-    return 0 if x <= 0 else isqrt(x - 1) + 1
 
 
 def stream_for_size(family: str, m: int, seed: int = 0) -> UpdateStream:

@@ -1,7 +1,9 @@
 """``dynamis`` command line: generate, replay and fit update streams.
 
 Exit codes: 0 on success, 1 when continuous verification fails, 2 on usage
-errors (bad arguments, incompatible stream, generator preconditions).
+and input errors (bad arguments, unreadable or malformed stream, incompatible
+stream, events naming non-live vertices or missing edges, generator
+preconditions).
 """
 
 from __future__ import annotations
@@ -9,18 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
-from .bench import ALGORITHMS, ReplaySession, scaling
-from .errors import (
-    DynamisError,
-    GeneratorParameterError,
-    IncompatibleStreamError,
-    StreamParseError,
-    VerificationFailedError,
-)
+from .bench import ALGORITHMS, replay, scaling
+from .errors import DynamisError, GeneratorParameterError, VerificationFailedError
 from .generators import FAMILIES, GenSpec
-from .stream import QueryInMis, parse_stream, serialize_stream
+from .stream import parse_stream, serialize_stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,36 +59,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         with open(args.stream) as fh:
             text = fh.read()
-    stream = parse_stream(text)
-    # stream the query answers as they are produced, then the report
-    session = ReplaySession(args.algorithm, stream)
-    start = time.perf_counter()
-    verified = True if args.verify else None
-    if args.verify:
-        session.check(-1)
-    for i, event in enumerate(stream.events):
-        session.step(event)
-        if isinstance(event, QueryInMis):
-            v, answer = session.query_results[-1]
-            print(f"{v} {answer}")
-        if args.verify:
-            session.check(i)
-    wall = time.perf_counter() - start
-    n, m = session.final_shape()
-    meter = session.meter
-    report = {
-        "algorithm": args.algorithm,
-        "stream": {"events": len(stream.events), "final_n": n, "final_m": m},
-        "totals": dict(meter.totals(), wall_time_s=round(wall, 6)),
-        "per_update_max": {
-            "edges_touched": meter.max_op_edges_touched,
-            "adjustments": meter.max_op_adjustments,
-        },
-        "verified": verified,
-        "result": session.result(),
-    }
-    if session.query_results:
-        report["query_results"] = [list(q) for q in session.query_results]
+    # query answers are printed as they are produced, ahead of the report
+    report = replay(args.algorithm, parse_stream(text), verify=args.verify, on_query=print)
     _emit(report, args.report)
     return 0
 
@@ -148,13 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailedError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
-    except (IncompatibleStreamError, GeneratorParameterError, StreamParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DynamisError as exc:
+    except (DynamisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

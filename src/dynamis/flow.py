@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
+    IncompatibleStreamError,
     MissingEdgeError,
     NotIncrementalError,
     ParallelEdgeError,
@@ -24,6 +25,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .meter import CostMeter
+from .stream import DeleteEdge, InsertEdge, InsertVertex, UpdateEvent
 
 
 @dataclass
@@ -49,6 +51,10 @@ class FlowNetwork:
     # -- structure -------------------------------------------------------
 
     @property
+    def n(self) -> int:
+        return len(self.out_edges)
+
+    @property
     def m(self) -> int:
         return len(self.flow)
 
@@ -70,6 +76,23 @@ class FlowNetwork:
         return sorted(targets)
 
     # -- fully dynamic updates -------------------------------------------
+
+    def apply(self, event: UpdateEvent) -> FlowDelta:
+        """Apply an edge update or an isolated vertex insertion.
+
+        A vertex insertion only allocates an id and is not counted as an
+        update; any other event kind raises IncompatibleStreamError.
+        """
+        if isinstance(event, InsertEdge):
+            return self.insert_edge(event.u, event.v)
+        if isinstance(event, DeleteEdge):
+            return self.delete_edge(event.u, event.v)
+        if isinstance(event, InsertVertex) and not event.neighbors:
+            self.add_vertex()
+            return FlowDelta(0)
+        raise IncompatibleStreamError(
+            f"{type(self).__name__} takes edge updates and isolated vertices only, not {event!r}"
+        )
 
     def insert_edge(self, u: int, v: int) -> FlowDelta:
         self._add_edge(u, v)
@@ -188,6 +211,8 @@ class IncrementalFlow:
         self.in_tree: set[int] = {s}
         self.stage_touches: list[int] = []
         self._stage_touched = 0
+
+    apply = FlowNetwork.apply
 
     @property
     def F(self) -> int:

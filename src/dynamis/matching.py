@@ -146,7 +146,6 @@ class DynamicMatching:
         if isinstance(event, QueryInMis):
             raise ValueError("queries are not matching updates")
         self.meter.begin_op()
-        self.meter.updates += 1
         before = self.cardinality
         flipped: list[tuple[int, int]] = []
         if isinstance(event, InsertVertex):
@@ -189,6 +188,7 @@ class DynamicMatching:
             if y is not None:
                 del self.mate[y]
                 flipped = self.augment_from(y) or []
+        self.meter.updates += 1
         delta = MatchDelta(self.cardinality - before, flipped)
         self.meter.end_op()
         return delta

@@ -62,7 +62,6 @@ class ImplicitMis:
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         self.meter.begin_op()
-        self.meter.updates += 1
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
@@ -76,6 +75,7 @@ class ImplicitMis:
             self._delete_vertex(event.v, log)
         else:
             raise ValueError("queries go through in_mis_query")
+        self.meter.updates += 1
         self._process_one_candidate()
         self._epoch_transitions()
         log.edges_touched = self.meter.op_edges_touched
@@ -140,13 +140,13 @@ class ImplicitMis:
             self._leave_S(max(u, v), log)
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+        self.g.delete_edge(u, v)
         if u in self.in_S and v in self.tracked:
             self.hcount[v] -= 1
             self.meter.touch()
         if v in self.in_S and u in self.tracked:
             self.hcount[u] -= 1
             self.meter.touch()
-        self.g.delete_edge(u, v)
         self.heavy_adj[u].discard(v)
         self.heavy_adj[v].discard(u)
         for x in (u, v):
@@ -160,6 +160,7 @@ class ImplicitMis:
         return v
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
+        self.g._require(v)
         if v in self.in_S:
             self._leave_S(v, log)
         for w in sorted(self.g.adj[v]):

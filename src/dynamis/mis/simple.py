@@ -51,7 +51,6 @@ class SimpleMis:
         if isinstance(event, QueryInMis):
             raise ValueError("queries are not updates; read membership directly")
         self.meter.begin_op()
-        self.meter.updates += 1
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
@@ -61,6 +60,7 @@ class SimpleMis:
             self._insert_vertex(event.neighbors, log)
         else:
             self._delete_vertex(event.v, log)
+        self.meter.updates += 1
         log.edges_touched = self.meter.op_edges_touched
         self.meter.end_op()
         return log
@@ -118,6 +118,7 @@ class SimpleMis:
         return v
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
+        self.g._require(v)
         was_member = v in self.in_M
         nbrs = sorted(self.g.adj[v])
         if not was_member:

@@ -49,7 +49,6 @@ class TwoLevelMis:
         if isinstance(event, QueryInMis):
             raise ValueError("queries are not updates; read membership directly")
         self.meter.begin_op()
-        self.meter.updates += 1
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
@@ -59,6 +58,7 @@ class TwoLevelMis:
             self._insert_vertex(event.neighbors, log)
         else:
             self._delete_vertex(event.v, log)
+        self.meter.updates += 1
         self._rebuild_heavy_mis(log)
         if self.g.m <= self.m_c // 2 or self.g.m >= 2 * self.m_c:
             self._phase_rebuild(log)
@@ -174,6 +174,7 @@ class TwoLevelMis:
         self._admit_light_zeros((v,), log)
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
+        self.g._require(v)
         nbrs = sorted(self.g.adj[v])
         if v in self.light_M:
             self._light_leave(v, log)

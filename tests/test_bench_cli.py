@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from dynamis import UpdateStream, parse_stream
+from dynamis import UpdateStream, parse_stream, serialize_stream
 from dynamis.bench import ALGORITHMS, check_compatible, replay, scaling, stream_for_size
 from dynamis.cli import main
 from dynamis.errors import IncompatibleStreamError
-from dynamis.generators import gen_random_edges
+from dynamis.generators import gen_random_edges, gen_random_flow
 from dynamis.stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis
 
 
@@ -184,3 +184,42 @@ def test_cli_run_stdin(tmp_path, capsys, monkeypatch):
 
 def test_algorithms_constant():
     assert len(ALGORITHMS) == 8
+
+
+@pytest.mark.parametrize("algorithm", ["mis-simple", "mis-2level", "mis-implicit", "match-fd"])
+def test_cli_run_delete_unknown_vertex_exits_2(algorithm, tmp_path, capsys):
+    path = tmp_path / "badv.txt"
+    path.write_text("n 3\n+e 0 1\n-v 7\n")
+    assert main(["run", algorithm, str(path)]) == 2
+    assert "vertex 7 is not live" in capsys.readouterr().err
+
+
+# one compatible stream per algorithm, with In-MIS queries where it answers them
+AGREEMENT_STREAMS = {
+    "mis-simple": lambda: gen_random_edges(12, 150, 1, 0.65, query_rate=0.15, vertex_rate=0.1),
+    "mis-inc": lambda: gen_random_edges(12, 150, 2, p_insert=1.0, query_rate=0.15),
+    "mis-2level": lambda: gen_random_edges(12, 150, 3, 0.65, query_rate=0.15, vertex_rate=0.1),
+    "mis-implicit": lambda: gen_random_edges(12, 150, 4, p_insert=0.65, query_rate=0.15),
+    "flow-fd": lambda: gen_random_flow(10, 100, 5, p_insert=0.65),
+    "flow-inc": lambda: gen_random_flow(10, 100, 6, p_insert=1.0),
+    "match-fd": lambda: gen_random_edges(12, 120, 7, p_insert=0.65, vertex_rate=0.1),
+    "match-inc": lambda: gen_random_edges(12, 120, 8, p_insert=1.0),
+}
+
+
+@pytest.mark.parametrize("verify", [False, True])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cli_run_agrees_with_replay(algorithm, verify, tmp_path, capsys):
+    stream = AGREEMENT_STREAMS[algorithm]()
+    path = tmp_path / "stream.txt"
+    path.write_text(serialize_stream(stream))
+    assert main(["run", algorithm, str(path)] + (["--verify"] if verify else [])) == 0
+    out = capsys.readouterr().out.splitlines()
+    split = out.index("{")
+    printed, report = out[:split], json.loads("\n".join(out[split:]))
+    expected = replay(algorithm, stream, verify=verify)
+    for r in (report, expected):
+        r["totals"].pop("wall_time_s")
+    assert report == expected
+    assert printed == [f"{v} {answer}" for v, answer in expected.get("query_results", [])]
+    assert ("query_results" in expected) == algorithm.startswith("mis-")

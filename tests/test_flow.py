@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from dynamis import FlowNetwork, IncrementalFlow
+from dynamis import DeleteVertex, FlowNetwork, IncrementalFlow, InsertEdge, InsertVertex, QueryInMis
 from dynamis.errors import (
+    DynamisError,
     MissingEdgeError,
     NotIncrementalError,
     ParallelEdgeError,
@@ -189,3 +190,16 @@ def test_incremental_stage_work_linear():
         assert inc.current_stage_touches() <= 8 * max(inc.net.m, 1)
     for stage in inc.stage_touches:
         assert stage <= 8 * max(inc.net.m, 1)
+
+
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_apply_takes_edge_updates_and_isolated_vertices(cls):
+    alg = cls(3, 0, 2)
+    assert alg.apply(InsertEdge(0, 1)).dF == 0
+    alg.apply(InsertVertex(()))
+    assert alg.apply(InsertEdge(1, 3)).dF == 0
+    assert alg.apply(InsertEdge(3, 2)).dF == 1
+    for event in (DeleteVertex(1), InsertVertex((0,)), QueryInMis(0)):
+        with pytest.raises(DynamisError):
+            alg.apply(event)
+    assert alg.F == 1 and alg.meter.updates == 3 and alg.verify()

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from dynamis import DeleteEdge, DeleteVertex, DynGraph, ImplicitMis, InsertEdge, InsertVertex
-from dynamis.errors import VertexUpdateUnsupportedError
+from dynamis.errors import MissingEdgeError, VertexUpdateUnsupportedError
 from dynamis.mis.implicit import EAGER_FLOOR, _ceil_sqrt
 from dynamis.oracles import is_mis
 
@@ -176,3 +176,11 @@ def test_epoch_transitions_under_growth_and_shrink(seed):
         alg.apply(DeleteEdge(u, v))
         assert alg.audit()
     assert alg.m_c == 1
+
+
+def test_missing_edge_delete_leaves_counts_intact():
+    alg = ImplicitMis(DynGraph(3))
+    assert alg.in_mis_query(0)
+    with pytest.raises(MissingEdgeError):
+        alg.apply(DeleteEdge(0, 1))
+    assert alg.audit()
