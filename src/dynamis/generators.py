@@ -12,6 +12,7 @@ them.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import isqrt
 
@@ -123,6 +124,10 @@ def gen_degree_biased(m: int) -> UpdateStream:
     return stream
 
 
+def _discard_sorted(seq: list, item) -> None:
+    del seq[bisect_left(seq, item)]
+
+
 def gen_random_edges(
     n: int,
     events: int,
@@ -138,6 +143,7 @@ def gen_random_edges(
     live: list[int] = list(range(n))
     next_id = n
     edges: set[tuple[int, int]] = set()
+    edge_list: list[tuple[int, int]] = []  # sorted(edges), kept by bisect
     adj: dict[int, set[int]] = {v: set() for v in live}
     stream = UpdateStream(n=n)
 
@@ -169,14 +175,18 @@ def gen_random_edges(
                 adj[v] = set(nbrs)
                 for w in nbrs:
                     adj[w].add(v)
-                    edges.add((min(v, w), max(v, w)))
+                    e = (min(v, w), max(v, w))
+                    edges.add(e)
+                    insort(edge_list, e)
                 live.append(v)
             else:
                 v = rng.choice(live)
                 stream.events.append(DeleteVertex(v))
                 for w in adj[v]:
                     adj[w].discard(v)
-                    edges.discard((min(v, w), max(v, w)))
+                    e = (min(v, w), max(v, w))
+                    edges.discard(e)
+                    _discard_sorted(edge_list, e)
                 del adj[v]
                 live.remove(v)
             continue
@@ -196,14 +206,17 @@ def gen_random_edges(
             else:
                 u, v = pair
                 stream.events.append(InsertEdge(u, v))
-                edges.add((min(u, v), max(u, v)))
+                e = (min(u, v), max(u, v))
+                edges.add(e)
+                insort(edge_list, e)
                 adj[u].add(v)
                 adj[v].add(u)
                 continue
         if edges:
-            u, v = rng.choice(sorted(edges))
+            u, v = rng.choice(edge_list)
             stream.events.append(DeleteEdge(u, v))
             edges.discard((u, v))
+            _discard_sorted(edge_list, (u, v))
             adj[u].discard(v)
             adj[v].discard(u)
     return stream
@@ -215,6 +228,7 @@ def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> Up
         raise GeneratorParameterError("need n >= 2 and events >= 0")
     rng = random.Random(seed)
     arcs: set[tuple[int, int]] = set()
+    arc_list: list[tuple[int, int]] = []  # sorted(arcs), kept by bisect
     stream = UpdateStream(n=n, flow=(0, n - 1))
     while len(stream.events) < events:
         if rng.random() < p_insert or not arcs:
@@ -225,6 +239,7 @@ def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> Up
                 if u != v and (u, v) not in arcs:
                     stream.events.append(InsertEdge(u, v))
                     arcs.add((u, v))
+                    insort(arc_list, (u, v))
                     placed = True
                     break
             if placed:
@@ -241,9 +256,11 @@ def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> Up
                 u, v = rng.choice(free)
                 stream.events.append(InsertEdge(u, v))
                 arcs.add((u, v))
+                insort(arc_list, (u, v))
                 continue
         if arcs:
-            u, v = rng.choice(sorted(arcs))
+            u, v = rng.choice(arc_list)
             stream.events.append(DeleteEdge(u, v))
             arcs.discard((u, v))
+            _discard_sorted(arc_list, (u, v))
     return stream

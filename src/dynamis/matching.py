@@ -1,19 +1,28 @@
-"""Maximum cardinality matching under updates, blossom-aware throughout.
+"""Maximum cardinality matching under updates, on one alternating forest.
 
-The fully dynamic path repairs the matching by augmenting-path search after
-every update.  The search contracts odd cycles (blossoms), so it is complete
-on general graphs; a plain layered BFS is not, odd cycles defeat it.
-Deletions need at most two searches (from the freed endpoints); an insertion
-between two matched vertices may have to probe every free vertex, since the
-endpoints of a new augmenting path are not known in advance.
+Both matching classes keep a maximum matching together with a multi-root
+alternating forest over it: Edmonds' search grown from every free vertex at
+once, with blossoms contracted through a disjoint-set union over their bases
+(Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan 1985).  Once the
+forest is complete and the matching is maximum, no edge joins even vertices
+of two different trees.
 
-The incremental path keeps a persistent multi-root alternating forest with
-disjoint-set blossom contraction.  Inserted edges are fed into the forest;
-when an edge bridges two trees at even level an augmenting path exists, the
-matching is augmented by a fresh single-source search from one of the two
-roots, and the forest is rebuilt over all current edges.  Each stage (the
-span between two augmentations) therefore costs linear work in the current
-edge count.
+An inserted edge is fed into the forest.  An edge between even vertices of
+two trees closes an augmenting path: one single-source search from either
+tree's root finds a path and the matching grows by one, which is all an
+insertion can add.  Any other edge attaches a matched pair to a tree or
+contracts a blossom, and the forest grows from the vertices that turned
+even.  Every vertex is scanned at most once per forest, so an insertion
+costs at most one pass over the forest, O(n + m).
+
+A deletion or a vertex update repairs the matching by single-source search
+from the endpoints it freed: only paths ending there can augment, and at
+most one does.  Augmentations, deletions and vertex updates leave the forest
+stale; it is rebuilt from the free vertices at the next insertion that needs
+it.
+
+The single-source search runs on the live adjacency sets and ``mate`` dict
+and meters every adjacency scan it makes.
 """
 
 from __future__ import annotations
@@ -21,11 +30,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import NotFreeError, NotIncrementalError
+from .errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
 from .graph import DynGraph
 from .meter import CostMeter
 from .oracles import static_max_matching
-from .stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
+from .stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
+
+EVEN = 0
+ODD = 1
 
 
 @dataclass
@@ -42,98 +54,102 @@ def _single_source_augment(
     Contracts blossoms on the way; on success flips ``mate`` along the
     augmenting path and returns the new matched pairs, else returns None.
     """
-    ids = sorted(g.vertices())
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    nbrs = [sorted(index[w] for w in g.adj[v]) for v in ids]
-    match = [-1] * n
-    for u, w in mate.items():
-        match[index[u]] = index[w]
-    r = index[root]
-    if match[r] != -1:
+    if root in mate:
         raise NotFreeError(f"vertex {root} is matched")
+    adj = g.adj
+    parent: dict[int, int] = {}
+    base: dict[int, int] = {}  # disjoint-set parent of a contracted vertex
+    used = {root}
+    queue = deque([root])
 
-    used = [False] * n
-    p = [-1] * n
-    base = list(range(n))
-    used[r] = True
-    queue = deque([r])
+    def find(v: int) -> int:
+        r = v
+        while r in base:
+            r = base[r]
+        while v in base and base[v] != r:
+            base[v], v = r, base[v]
+        return r
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
+            a = find(a)
+            seen.add(a)
+            if a not in mate:
                 break
-            a = p[match[a]]
+            a = parent[mate[a]]
         while True:
-            b = base[b]
-            if seen[b]:
+            b = find(b)
+            if b in seen:
                 return b
-            b = p[match[b]]
+            b = parent[mate[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while find(v) != b:
+            mv = mate[v]
+            blossom.add(find(v))
+            blossom.add(find(mv))
+            parent[v] = child
+            child = mv
+            v = parent[mv]
 
     while queue:
         v = queue.popleft()
-        meter.touch(len(nbrs[v]))
-        for to in nbrs[v]:
-            if base[v] == base[to] or match[v] == to:
+        nbrs = adj[v]
+        meter.touch(len(nbrs))
+        for to in nbrs:
+            if find(v) == find(to) or mate.get(v) == to:
                 continue
-            if to == r or (match[to] != -1 and p[match[to]] != -1):
+            if to == root or (to in mate and mate[to] in parent):
                 cur = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
-            elif p[to] == -1:
-                p[to] = v
-                if match[to] == -1:
-                    w = to
-                    while w != -1:
-                        pw = p[w]
-                        nxt = match[pw]
-                        match[w] = pw
-                        match[pw] = w
-                        w = nxt
+                for b in blossom:
+                    if b != cur:
+                        base[b] = cur
+                    if b not in used:
+                        used.add(b)
+                        queue.append(b)
+            elif to not in parent:
+                parent[to] = v
+                if to not in mate:
                     flipped = []
-                    for i, j in enumerate(match):
-                        if j > i:
-                            a, b = ids[i], ids[j]
-                            if mate.get(a) != b:
-                                flipped.append((a, b))
-                    mate.clear()
-                    for i, j in enumerate(match):
-                        if j != -1:
-                            mate[ids[i]] = ids[j]
+                    w: int | None = to
+                    while w is not None:
+                        pw = parent[w]
+                        nxt = mate.get(pw)
+                        mate[w] = pw
+                        mate[pw] = w
+                        flipped.append((min(w, pw), max(w, pw)))
+                        w = nxt
+                    flipped.sort()
                     return flipped
-                used[match[to]] = True
-                queue.append(match[to])
+                used.add(mate[to])
+                queue.append(mate[to])
     return None
 
 
-class DynamicMatching:
-    """Folklore fully dynamic maximum matching: repair by augmenting search."""
+class _ForestMatching:
+    """A maximum matching and a lazily rebuilt alternating forest over it.
+
+    Forest state, valid while ``_stale`` is false: ``label`` is EVEN or ODD
+    for vertices in a tree, ``root`` names their tree, ``parent`` links an
+    ODD vertex to the even vertex it hangs from, and ``dsu`` maps a
+    contracted vertex towards its blossom's base.  ``_queue`` holds even
+    vertices not scanned yet.
+    """
 
     def __init__(self, g: DynGraph):
         self.g = g
         self.mate: dict[int, int] = {}
         self.meter = CostMeter()
-        for v in sorted(g.vertices()):
-            if v not in self.mate:
-                _single_source_augment(g, self.mate, v, self.meter)
+        self.label: dict[int, int] = {}
+        self.parent: dict[int, int] = {}
+        self.root: dict[int, int] = {}
+        self.dsu: dict[int, int] = {}
+        self._queue: deque[int] = deque()
+        self._stale = True
 
     @property
     def cardinality(self) -> int:
@@ -142,49 +158,171 @@ class DynamicMatching:
     def augment_from(self, v: int) -> list[tuple[int, int]] | None:
         return _single_source_augment(self.g, self.mate, v, self.meter)
 
+    def verify(self) -> bool:
+        for x, y in self.mate.items():
+            if self.mate.get(y) != x or not self.g.has_edge(x, y):
+                return False
+        return self.cardinality == static_max_matching(self.g.adj)
+
+    def _absorb_edge(self, u: int, v: int) -> list[tuple[int, int]]:
+        """Restore maximality after inserting edge (u,v); returns the new pairs."""
+        mate = self.mate
+        if u not in mate and v not in mate:
+            mate[u] = v
+            mate[v] = u
+            self._stale = True
+            return [(min(u, v), max(u, v))]
+        if len(mate) == self.g.n:
+            return []  # no free vertex, so no augmenting path
+        if self._stale:
+            self._build_forest()  # scans every even vertex, the new edge included
+        else:
+            self.meter.touch(1)
+            found = self._process_edge(u, v)
+            if found is not None:
+                return found
+        return self._grow()
+
+    # -- forest machinery ------------------------------------------------
+
+    def _build_forest(self) -> None:
+        self.label = {}
+        self.parent = {}
+        self.root = {}
+        self.dsu = {}
+        self._queue = deque()
+        for v in self.g.adj:
+            if v not in self.mate:
+                self.label[v] = EVEN
+                self.root[v] = v
+                self._queue.append(v)
+        self._stale = False
+
+    def _grow(self) -> list[tuple[int, int]]:
+        """Scan queued even vertices until the forest is complete or augments."""
+        adj = self.g.adj
+        while self._queue:
+            v = self._queue.popleft()
+            nbrs = adj[v]
+            self.meter.touch(len(nbrs))
+            for w in nbrs:
+                found = self._process_edge(v, w)
+                if found is not None:
+                    return found
+        return []
+
+    def _find(self, v: int) -> int:
+        r = v
+        while r in self.dsu:
+            r = self.dsu[r]
+        while v in self.dsu and self.dsu[v] != r:
+            self.dsu[v], v = r, self.dsu[v]
+        return r
+
+    def _process_edge(self, u: int, v: int) -> list[tuple[int, int]] | None:
+        """Returns the new pairs when the edge closes an augmenting path."""
+        bu, bv = self._find(u), self._find(v)
+        if bu == bv:
+            return None
+        lu, lv = self.label.get(bu), self.label.get(bv)
+        if lu != EVEN and lv != EVEN:
+            return None
+        if lu == EVEN and lv == EVEN:
+            if self.root[bu] != self.root[bv]:
+                flipped = self.augment_from(self.root[bu])
+                assert flipped is not None, "bridged trees must admit an augmenting path"
+                self._stale = True
+                return flipped
+            self._contract(bu, bv)
+            return None
+        if lu != EVEN:
+            u, v, lv = v, u, lu
+        if lv is None:
+            self._attach(u, v)
+        return None
+
+    def _attach(self, even_u: int, v: int) -> None:
+        w = self.mate[v]
+        self.label[v] = ODD
+        self.parent[v] = even_u
+        self.root[v] = self.root[self._find(even_u)]
+        self.label[w] = EVEN
+        self.root[w] = self.root[v]
+        self._queue.append(w)
+
+    def _up(self, b: int) -> int | None:
+        """Next even base above blossom/vertex base ``b``, None at a root."""
+        mb = self.mate.get(b)
+        if mb is None:
+            return None
+        return self._find(self.parent[mb])
+
+    def _contract(self, bu: int, bv: int) -> None:
+        ancestors = set()
+        x: int | None = bu
+        while x is not None:
+            ancestors.add(x)
+            x = self._up(x)
+        x = bv
+        while x not in ancestors:
+            x = self._up(x)
+            assert x is not None, "bases share no root"
+        lca = x
+        members: set[int] = set()
+        for y in (bu, bv):
+            while y != lca:
+                members.add(y)
+                my = self.mate.get(y)
+                if my is not None and self._find(my) != lca:
+                    members.add(self._find(my))
+                y = self._up(y)
+        for b in members:
+            if self.label.get(b) == ODD:
+                self._queue.append(b)  # an odd vertex inside a blossom is even
+            self.dsu[b] = lca
+
+
+class DynamicMatching(_ForestMatching):
+    """Fully dynamic maximum matching: forest on insertions, search on deletions."""
+
+    # bound in the class body, so instrumenting this class's own methods
+    # reaches them
+    augment_from = _ForestMatching.augment_from
+    verify = _ForestMatching.verify
+
+    def __init__(self, g: DynGraph):
+        super().__init__(g)
+        for v in sorted(g.vertices()):
+            if v not in self.mate:
+                _single_source_augment(g, self.mate, v, self.meter)
+
     def apply(self, event: UpdateEvent) -> MatchDelta:
         if isinstance(event, QueryInMis):
-            raise ValueError("queries are not matching updates")
+            raise IncompatibleStreamError("queries are not matching updates")
         self.meter.begin_op()
         before = self.cardinality
         flipped: list[tuple[int, int]] = []
-        if isinstance(event, InsertVertex):
+        if isinstance(event, InsertEdge):
+            self.g.insert_edge(event.u, event.v)
+            flipped = self._absorb_edge(event.u, event.v)
+        elif isinstance(event, InsertVertex):
             v = self.g.insert_vertex(event.neighbors)
+            self._stale = True
             flipped = self.augment_from(v) or []
-        elif isinstance(event, InsertEdge):
-            x, y = event.u, event.v
-            self.g.insert_edge(x, y)
-            if x not in self.mate and y not in self.mate:
-                self.mate[x] = y
-                self.mate[y] = x
-                flipped = [(min(x, y), max(x, y))]
-            elif x not in self.mate:
-                flipped = self.augment_from(x) or []
-            elif y not in self.mate:
-                flipped = self.augment_from(y) or []
-            else:
-                # both endpoints matched: an augmenting path may still run
-                # through the new edge, ending at two free vertices we cannot
-                # name up front, so probe each free vertex until one augments
-                for r in sorted(self.g.vertices()):
-                    if r not in self.mate:
-                        found = self.augment_from(r)
-                        if found:
-                            flipped = found
-                            break
         elif isinstance(event, DeleteEdge):
             x, y = event.u, event.v
             self.g.delete_edge(x, y)
+            self._stale = True
             if self.mate.get(x) == y:
                 del self.mate[x]
                 del self.mate[y]
-                flipped = self.augment_from(x) or []
-                if y not in self.mate:
-                    flipped += self.augment_from(y) or []
+                # a path ending at neither x nor y would have augmented before
+                flipped = self.augment_from(x) or self.augment_from(y) or []
         else:
             x = event.v
             y = self.mate.pop(x, None)
             self.g.delete_vertex(x)
+            self._stale = True
             if y is not None:
                 del self.mate[y]
                 flipped = self.augment_from(y) or []
@@ -193,36 +331,24 @@ class DynamicMatching:
         self.meter.end_op()
         return delta
 
-    def verify(self) -> bool:
-        for u, v in self.mate.items():
-            if self.mate.get(v) != u or not self.g.has_edge(u, v):
-                return False
-        return self.cardinality == static_max_matching(self.g.adj)
 
+class IncrementalMatching(_ForestMatching):
+    """Insertion-only maximum matching: the forest core with deletions rejected.
 
-class IncrementalMatching:
-    """Insertion-only matching with a persistent alternating forest."""
+    ``stage_touches`` holds the metered work of each stage, the span of
+    insertions that ends with an augmentation.
+    """
 
-    EVEN = 0
-    ODD = 1
+    verify = _ForestMatching.verify
 
     def __init__(self):
-        self.g = DynGraph()
-        self.mate: dict[int, int] = {}
-        self.meter = CostMeter()
+        super().__init__(DynGraph())
         self.stage_touches: list[int] = []
-        self._stage_touched = 0
-        self._reset_forest()
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.mate) // 2
+        self._stage_start = 0
 
     def insert_vertex(self) -> int:
         v = self.g.insert_vertex(())
-        self.label[v] = self.EVEN
-        self.root[v] = v
-        self.scanned.add(v)
+        self._stale = True
         return v
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
@@ -242,148 +368,9 @@ class IncrementalMatching:
         self.meter.begin_op()
         self.meter.updates += 1
         before = self.cardinality
-        flipped: list[tuple[int, int]] = []
-        self._queue.append(("edge", u, v))
-        flipped += self._drain()
+        flipped = self._absorb_edge(u, v)
+        if flipped:
+            self.stage_touches.append(self.meter.edges_touched - self._stage_start)
+            self._stage_start = self.meter.edges_touched
         self.meter.end_op()
         return MatchDelta(self.cardinality - before, flipped)
-
-    def verify(self) -> bool:
-        for x, y in self.mate.items():
-            if self.mate.get(y) != x or not self.g.has_edge(x, y):
-                return False
-        return self.cardinality == static_max_matching(self.g.adj)
-
-    # -- forest machinery ------------------------------------------------
-
-    def _reset_forest(self) -> None:
-        self.label: dict[int, int] = {}
-        self.parent: dict[int, int] = {}
-        self.root: dict[int, int] = {}
-        self.dsu: dict[int, int] = {}
-        self.scanned: set[int] = set()
-        self._queue: deque = deque()
-        for v in sorted(self.g.vertices()):
-            if v not in self.mate:
-                self.label[v] = self.EVEN
-                self.root[v] = v
-
-    def _rebuild_forest(self) -> None:
-        self._reset_forest()
-        for v in sorted(self.label):
-            self._enqueue_scan(v)
-
-    def _find(self, v: int) -> int:
-        r = v
-        while r in self.dsu:
-            r = self.dsu[r]
-        while v in self.dsu:
-            self.dsu[v], v = r, self.dsu[v]
-        return r
-
-    def _effective_label(self, v: int) -> int | None:
-        return self.label.get(self._find(v))
-
-    def _enqueue_scan(self, v: int) -> None:
-        if v not in self.scanned:
-            self.scanned.add(v)
-            self._queue.append(("scan", v))
-
-    def _drain(self) -> list[tuple[int, int]]:
-        flipped: list[tuple[int, int]] = []
-        while self._queue:
-            item = self._queue.popleft()
-            if item[0] == "scan":
-                _, v = item
-                if not self.g.is_live(v):
-                    continue
-                self._touch(len(self.g.adj[v]))
-                for w in sorted(self.g.adj[v]):
-                    result = self._process_edge(v, w)
-                    if result is not None:
-                        flipped += result
-                        break
-            else:
-                _, u, v = item
-                self._touch(1)
-                result = self._process_edge(u, v)
-                if result is not None:
-                    flipped += result
-        return flipped
-
-    def _process_edge(self, u: int, v: int) -> list[tuple[int, int]] | None:
-        """Returns flipped pairs when the edge triggers an augmentation."""
-        bu, bv = self._find(u), self._find(v)
-        if bu == bv:
-            return None
-        lu, lv = self.label.get(bu), self.label.get(bv)
-        if lu != self.EVEN and lv != self.EVEN:
-            return None
-        if lu == self.EVEN and lv == self.EVEN:
-            if self.root[bu] != self.root[bv]:
-                return self._augment(self.root[bu])
-            self._contract(bu, bv)
-            return None
-        if lu != self.EVEN:
-            u, v, bu, bv, lu, lv = v, u, bv, bu, lv, lu
-        if lv is None:
-            self._attach(u, v)
-        return None
-
-    def _attach(self, even_u: int, v: int) -> None:
-        w = self.mate[v]
-        self.label[v] = self.ODD
-        self.parent[v] = even_u
-        self.root[v] = self.root[self._find(even_u)]
-        self.label[w] = self.EVEN
-        self.root[w] = self.root[v]
-        self._enqueue_scan(w)
-
-    def _up(self, b: int) -> int | None:
-        """Next even base above blossom/vertex base ``b``, None at a root."""
-        mb = self.mate.get(b)
-        if mb is None:
-            return None
-        return self._find(self.parent[mb])
-
-    def _contract(self, bu: int, bv: int) -> None:
-        ancestors = []
-        x: int | None = bu
-        while x is not None:
-            ancestors.append(x)
-            x = self._up(x)
-        on_u_path = set(ancestors)
-        x = bv
-        while x not in on_u_path:
-            x = self._up(x)
-            assert x is not None, "bases share no root"
-        lca = x
-        members: list[int] = []
-        for start in (bu, bv):
-            y: int | None = start
-            while y != lca:
-                members.append(y)
-                my = self.mate.get(y)
-                if my is not None and self._find(my) != lca:
-                    members.append(self._find(my))
-                y = self._up(y)
-        for b in set(members):
-            if b == lca:
-                continue
-            if self.label.get(b) == self.ODD:
-                self._enqueue_scan(b)
-            self.dsu[b] = lca
-
-    def _augment(self, free_root: int) -> list[tuple[int, int]]:
-        before = self.meter.edges_touched
-        flipped = _single_source_augment(self.g, self.mate, free_root, self.meter)
-        assert flipped is not None, "bridged trees must admit an augmenting path"
-        self._stage_touched += self.meter.edges_touched - before
-        self.stage_touches.append(self._stage_touched)
-        self._stage_touched = 0
-        self._rebuild_forest()
-        return flipped
-
-    def _touch(self, count: int) -> None:
-        self.meter.touch(count)
-        self._stage_touched += count

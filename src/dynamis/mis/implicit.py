@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ..errors import VertexUpdateUnsupportedError
+from ..errors import IncompatibleStreamError, VertexUpdateUnsupportedError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
-from ..stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, UpdateEvent
+from ..stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
 
 EAGER_FLOOR = 64
 
@@ -61,6 +61,8 @@ class ImplicitMis:
         return set(self.in_S)
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
+        if isinstance(event, QueryInMis):
+            raise IncompatibleStreamError("queries go through in_mis_query")
         self.meter.begin_op()
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
@@ -71,10 +73,8 @@ class ImplicitMis:
             if event.neighbors:
                 raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
             self._insert_isolated()
-        elif isinstance(event, DeleteVertex):
-            self._delete_vertex(event.v, log)
         else:
-            raise ValueError("queries go through in_mis_query")
+            self._delete_vertex(event.v, log)
         self.meter.updates += 1
         self._process_one_candidate()
         self._epoch_transitions()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
+from ..errors import IncompatibleStreamError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
 from ..stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
@@ -49,7 +50,7 @@ class SimpleMis:
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
-            raise ValueError("queries are not updates; read membership directly")
+            raise IncompatibleStreamError("queries are not updates; read membership directly")
         self.meter.begin_op()
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..errors import IncompatibleStreamError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
 from ..stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
@@ -47,7 +48,7 @@ class TwoLevelMis:
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
-            raise ValueError("queries are not updates; read membership directly")
+            raise IncompatibleStreamError("queries are not updates; read membership directly")
         self.meter.begin_op()
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):

@@ -12,9 +12,10 @@ from dynamis import (
     InsertVertex,
     QueryInMis,
 )
-from dynamis.errors import NotFreeError, NotIncrementalError
+from dynamis.errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
 from dynamis.matching import _single_source_augment
 from dynamis.meter import CostMeter
+from dynamis.generators import gen_random_edges
 from dynamis.oracles import exhaustive_max_matching, static_max_matching
 
 
@@ -147,7 +148,7 @@ def test_insert_vertex_with_neighbors_augments():
 
 def test_query_rejected():
     alg = DynamicMatching(DynGraph(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(IncompatibleStreamError):
         alg.apply(QueryInMis(0))
 
 
@@ -289,3 +290,99 @@ def test_incremental_stage_work_bound():
     assert total <= 8 * m * (inc.cardinality + 1)
     for stage in inc.stage_touches:
         assert stage <= 8 * m
+
+
+# -- forest core: differential and meter checks ------------------------------
+
+
+def _check_matching(alg):
+    for u, v in alg.mate.items():
+        assert alg.mate.get(v) == u, (u, v)
+        assert alg.g.has_edge(u, v), (u, v)
+    assert alg.cardinality == static_max_matching(alg.g.adj)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fully_dynamic_vertex_churn_matches_oracle(seed):
+    # vertex insertions and deletions leave gaps in the id range
+    rng = random.Random(700 + seed)
+    n = rng.randint(6, 24)
+    stream = gen_random_edges(n, 160, seed, p_insert=rng.choice([0.55, 0.7]), vertex_rate=0.2)
+    assert any(isinstance(e, DeleteVertex) for e in stream.events)
+    alg = DynamicMatching(DynGraph(n))
+    for event in stream.events:
+        alg.apply(event)
+        _check_matching(alg)
+
+
+def _bridged_blossom():
+    # free 0 - 1=2, triangle 2,3=4 (a blossom once 0's tree reaches it),
+    # free 7 - 6=5; the edge (3,5) joins two matched vertices and closes
+    # the augmenting path 0-1=2-4=3-5=6-7 through the blossom
+    g = build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7)])
+    alg = DynamicMatching(g)
+    alg.mate.clear()
+    alg.mate.update({1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5})
+    assert alg.verify()
+    return alg
+
+
+def test_edge_between_matched_vertices_augments_through_blossom():
+    alg = _bridged_blossom()
+    delta = alg.apply(InsertEdge(3, 5))
+    assert delta.delta == 1 and alg.cardinality == 4
+    _check_matching(alg)
+
+
+def test_edge_between_matched_vertices_augments_on_a_grown_forest():
+    alg = _bridged_blossom()
+    delta = alg.apply(InsertEdge(1, 5))  # odd to even: builds the forest, no path
+    assert delta.delta == 0
+    delta = alg.apply(InsertEdge(3, 5))
+    assert delta.delta == 1 and alg.cardinality == 4
+    _check_matching(alg)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_augment_on_graph_with_deleted_ids(seed):
+    rng = random.Random(900 + seed)
+    g = DynGraph(14)
+    for u, v in _random_graph(rng, 14, 30):
+        g.insert_edge(u, v)
+    for v in rng.sample(range(14), 4):
+        g.delete_vertex(v)
+    for _ in range(3):
+        g.insert_vertex(rng.sample(sorted(g.vertices()), 2))
+    mate = {}
+    meter = CostMeter()
+    for v in sorted(g.vertices()):
+        if v not in mate:
+            flipped = _single_source_augment(g, mate, v, meter)
+            assert flipped is None or (min(v, mate[v]), max(v, mate[v])) in flipped
+    for u, v in mate.items():
+        assert mate[v] == u and g.has_edge(u, v)
+    assert len(mate) // 2 == static_max_matching(g.adj)
+    for v in g.vertices():
+        if v not in mate:
+            assert _single_source_augment(g, mate, v, meter) is None
+
+
+def _k5_40():
+    g = DynGraph(45)
+    for a in range(5):
+        for b in range(5, 45):
+            g.insert_edge(a, b)
+    alg = DynamicMatching(g)
+    assert alg.cardinality == 5  # 35 vertices of the 40-side stay free
+    return alg
+
+
+def test_insert_between_matched_costs_one_forest_pass():
+    alg = _k5_40()
+    delta = alg.apply(InsertEdge(0, 1))  # inside the 5-side: cannot augment
+    assert delta.delta == 0
+    assert alg.meter.op_edges_touched <= 2 * alg.g.m + 1  # 403
+    # the forest persists: a second such edge costs the edge itself
+    delta = alg.apply(InsertEdge(2, 3))
+    assert delta.delta == 0
+    assert alg.meter.op_edges_touched <= 1

@@ -12,6 +12,7 @@ from dynamis import (
     RemovalPolicy,
     SimpleMis,
 )
+from dynamis.errors import IncompatibleStreamError
 from dynamis.oracles import is_mis
 
 
@@ -93,7 +94,7 @@ def test_insert_vertex_counts():
 
 def test_query_rejected():
     alg = SimpleMis(DynGraph(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(IncompatibleStreamError):
         alg.apply(QueryInMis(0))
 
 

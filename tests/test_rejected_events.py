@@ -1,5 +1,7 @@
 """A rejected event raises, is not counted as an update and leaves the audit true."""
 
+import pickle
+
 import pytest
 
 from dynamis import (
@@ -12,9 +14,12 @@ from dynamis import (
     ImplicitMis,
     IncrementalFlow,
     IncrementalMatching,
+    IncompatibleStreamError,
     IncrementalMis,
     InsertEdge,
     InsertVertex,
+    NotIncrementalError,
+    QueryInMis,
     SimpleMis,
     TwoLevelMis,
 )
@@ -62,3 +67,17 @@ def test_rejected_event_is_not_counted(name):
             alg.apply(event)
         assert alg.meter.updates == 2, event
         assert audit(), event
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_rejected_query_leaves_state_unchanged(name):
+    # queries are answered outside apply(); a query passed to it is a stream
+    # mismatch, or a non-insertion in insertion-only mode
+    alg = BUILDERS[name]()
+    alg.apply(InsertEdge(0, 1))
+    alg.apply(InsertEdge(1, 2))
+    before = pickle.dumps(alg)
+    with pytest.raises((IncompatibleStreamError, NotIncrementalError)):
+        alg.apply(QueryInMis(0))
+    assert alg.meter.updates == 2
+    assert pickle.dumps(alg) == before
