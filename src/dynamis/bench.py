@@ -104,7 +104,7 @@ REGISTRY: dict[str, Algorithm] = {
         flow=True, isolated_vertices=True,
     ),
     "flow-inc": Algorithm(
-        _on_network(IncrementalFlow), _FLOW_VALUE, oracle=_flow_oracle, graph=attrgetter("net"),
+        _on_network(IncrementalFlow), _FLOW_VALUE, oracle=_flow_oracle, graph=lambda net: net,
         flow=True, incremental=True, isolated_vertices=True,
     ),
     "match-fd": Algorithm(_on_graph(DynamicMatching), _MATCHING_SIZE),

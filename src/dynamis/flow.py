@@ -1,10 +1,25 @@
 """Unit-capacity s-t maximum flow under edge updates.
 
-The fully dynamic path repairs the flow with at most one residual search per
-update.  The incremental path keeps a reachability tree from the source over
-the residual graph; the tree absorbs insertions until the sink becomes
-reachable, at which point the flow is augmented and the tree rebuilt, so the
-total tree work within one stage is linear in the edge count.
+Both classes keep a spanning tree of the vertices the source reaches in the
+residual graph (``parent``, ``in_tree``), as in Italiano's incremental
+reachability structure.  After every update ``in_tree`` is exactly the
+residual reach of ``s`` and every ``parent`` arc is a residual arc; the flow
+is maximum exactly when ``t`` is outside the tree.
+
+- An inserted edge (u,v) adds the residual arc u->v.  Only if u is in the
+  tree and v is not does the tree grow, by a search from v.  If the sink
+  joins, the flow is augmented along the tree path and the tree rebuilt;
+  one augmentation suffices, since the flow was maximum before.  Any other
+  insertion costs O(1).
+- Deleting an empty edge removes only its forward arc, so the tree is
+  rebuilt only if that arc was a tree arc.
+- Deleting an edge that carries flow reroutes the unit from u to v, or else
+  sends it back to the source through an auxiliary s->t arc, lowering the
+  flow value by one; either way the tree is rebuilt.
+
+Within one stage (between augmentations) insertion-only tree work is linear
+in the edge count.  ``IncrementalFlow`` is the same structure with deletions
+rejected.
 
 Residual arcs are derived from the flow flags: an edge carries its arc
 forward while empty and backward while saturated.  Anti-parallel real edges
@@ -35,6 +50,8 @@ class FlowDelta:
 
 
 class FlowNetwork:
+    """Fully dynamic flow with a persistent source reachability tree."""
+
     def __init__(self, n: int, s: int, t: int):
         if s == t:
             raise SelfLoopError("source equals sink")
@@ -47,6 +64,10 @@ class FlowNetwork:
         self.meter = CostMeter()
         self._require(s)
         self._require(t)
+        self.parent: dict[int, int] = {}
+        self.in_tree: set[int] = {s}
+        self.stage_touches: list[int] = []
+        self._stage_touched = 0
 
     # -- structure -------------------------------------------------------
 
@@ -75,13 +96,15 @@ class FlowNetwork:
         targets |= {v for v in self.in_edges[u] if self.flow[(v, u)] == 1}
         return sorted(targets)
 
-    # -- fully dynamic updates -------------------------------------------
+    def current_stage_touches(self) -> int:
+        return self._stage_touched
+
+    # -- updates ---------------------------------------------------------
 
     def apply(self, event: UpdateEvent) -> FlowDelta:
         """Apply an edge update or an isolated vertex insertion.
 
-        A vertex insertion only allocates an id and is not counted as an
-        update; any other event kind raises IncompatibleStreamError.
+        Any other event kind raises IncompatibleStreamError.
         """
         if isinstance(event, InsertEdge):
             return self.insert_edge(event.u, event.v)
@@ -89,6 +112,7 @@ class FlowNetwork:
             return self.delete_edge(event.u, event.v)
         if isinstance(event, InsertVertex) and not event.neighbors:
             self.add_vertex()
+            self.meter.updates += 1
             return FlowDelta(0)
         raise IncompatibleStreamError(
             f"{type(self).__name__} takes edge updates and isolated vertices only, not {event!r}"
@@ -98,14 +122,22 @@ class FlowNetwork:
         self._add_edge(u, v)
         self.meter.begin_op()
         self.meter.updates += 1
-        path = self._find_path(self.s, self.t)
-        if path is None:
-            self.meter.end_op()
-            return FlowDelta(0)
-        self._push(path)
-        self.F += 1
+        self._touch(1)
+        delta = FlowDelta(0)
+        if u in self.in_tree and v not in self.in_tree:
+            self.parent[v] = u
+            self.in_tree.add(v)
+            self._explore([v])
+            if self.t in self.in_tree:
+                path = self._trace_sink()
+                self._push(path)
+                self.F += 1
+                delta = FlowDelta(1, path)
+                self.stage_touches.append(self._stage_touched)
+                self._stage_touched = 0
+                self._rebuild_tree()
         self.meter.end_op()
-        return FlowDelta(1, path)
+        return delta
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
         if (u, v) not in self.flow:
@@ -116,24 +148,32 @@ class FlowNetwork:
         self.meter.begin_op()
         self.meter.updates += 1
         if not carried:
+            # only the forward arc u->v is gone; the tree needs it only as a tree arc
+            if self.parent.get(v) == u:
+                self._rebuild_tree()
             self.meter.end_op()
             return FlowDelta(0)
         path = self._find_path(u, v)
         if path is not None:
             self._push(path)
-            self.meter.end_op()
-            return FlowDelta(0, path)
-        path = self._find_path(u, v, aux_st=True)
-        assert path is not None, "send-back path must exist"
-        self._push(path, skip_aux=True)
-        self.F -= 1
+            delta = FlowDelta(0, path)
+        else:
+            path = self._find_path(u, v, aux_st=True)
+            assert path is not None, "send-back path must exist"
+            self._push(path, skip_aux=True)
+            self.F -= 1
+            delta = FlowDelta(-1, path)
+        self._rebuild_tree()
         self.meter.end_op()
-        return FlowDelta(-1, path)
+        return delta
 
     # -- auditing --------------------------------------------------------
 
     def verify(self) -> bool:
-        """Capacity, conservation, flow value and maximality by rescan."""
+        """Capacity, conservation, flow value, maximality and the source tree.
+
+        The residual reach is recomputed without touching the meter.
+        """
         balance: dict[int, int] = {v: 0 for v in self.out_edges}
         for (u, v), f in self.flow.items():
             if f not in (0, 1):
@@ -147,7 +187,23 @@ class FlowNetwork:
                 return False
         if -balance[self.s] != self.F or balance[self.t] != self.F or self.F < 0:
             return False
-        return self._reach(self.s).get(self.t) is None
+        reach = self._reach(self.s, metered=False)
+        if self.t in reach:
+            return False
+        if self.in_tree != reach.keys() or self.parent.keys() != self.in_tree - {self.s}:
+            return False
+        children: dict[int, list[int]] = {}
+        for x, w in self.parent.items():
+            if self.flow.get((w, x)) != 0 and self.flow.get((x, w)) != 1:
+                return False
+            children.setdefault(w, []).append(x)
+        # every tree vertex must hang from s, not from a cycle of parent arcs
+        hung, stack = 1, [self.s]
+        while stack:
+            kids = children.get(stack.pop(), [])
+            hung += len(kids)
+            stack.extend(kids)
+        return hung == len(self.in_tree)
 
     # -- internals -------------------------------------------------------
 
@@ -166,7 +222,37 @@ class FlowNetwork:
         if v not in self.out_edges:
             raise UnknownVertexError(f"vertex {v} is not live")
 
-    def _reach(self, src: int, aux_st: bool = False) -> dict[int, int]:
+    def _touch(self, count: int) -> None:
+        self.meter.touch(count)
+        self._stage_touched += count
+
+    def _explore(self, frontier: list[int]) -> None:
+        while frontier:
+            w = frontier.pop()
+            if self.t in self.in_tree:
+                return
+            targets = self.residual_out(w)
+            self._touch(len(targets))
+            for x in targets:
+                if x not in self.in_tree:
+                    self.parent[x] = w
+                    self.in_tree.add(x)
+                    frontier.append(x)
+
+    def _trace_sink(self) -> list[int]:
+        path = [self.t]
+        while path[-1] != self.s:
+            path.append(self.parent[path[-1]])
+        path.reverse()
+        return path
+
+    def _rebuild_tree(self) -> None:
+        # only called with a maximum flow, so the search never stops at t
+        self.parent = {}
+        self.in_tree = {self.s}
+        self._explore([self.s])
+
+    def _reach(self, src: int, aux_st: bool = False, metered: bool = True) -> dict[int, int]:
         prev = {src: src}
         queue = deque([src])
         while queue:
@@ -174,7 +260,8 @@ class FlowNetwork:
             targets = self.residual_out(u)
             if aux_st and u == self.s and self.t not in targets:
                 targets = sorted(targets + [self.t])
-            self.meter.touch(len(targets))
+            if metered:
+                self._touch(len(targets))
             for v in targets:
                 if v not in prev:
                     prev[v] = u
@@ -201,92 +288,16 @@ class FlowNetwork:
                 assert skip_aux and a == self.s and b == self.t, "broken residual path"
 
 
-class IncrementalFlow:
-    """Insertion-only flow with a source reachability tree per stage."""
+class IncrementalFlow(FlowNetwork):
+    """Insertion-only flow: the same source tree, with deletions rejected."""
 
-    def __init__(self, n: int, s: int, t: int):
-        self.net = FlowNetwork(n, s, t)
-        self.meter = self.net.meter
-        self.parent: dict[int, int] = {}
-        self.in_tree: set[int] = {s}
-        self.stage_touches: list[int] = []
-        self._stage_touched = 0
-
-    apply = FlowNetwork.apply
+    # bound here as well, so each class's own namespace names its public calls
+    insert_edge = FlowNetwork.insert_edge
+    verify = FlowNetwork.verify
 
     @property
-    def F(self) -> int:
-        return self.net.F
-
-    def add_vertex(self) -> int:
-        return self.net.add_vertex()
+    def net(self) -> IncrementalFlow:
+        return self
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
         raise NotIncrementalError("incremental flow rejects deletions")
-
-    def insert_edge(self, u: int, v: int) -> FlowDelta:
-        self.net._add_edge(u, v)
-        self.meter.begin_op()
-        self.meter.updates += 1
-        self._touch(1)
-        delta = FlowDelta(0)
-        if u in self.in_tree and v not in self.in_tree:
-            self.parent[v] = u
-            self.in_tree.add(v)
-            self._explore([v])
-            while self.net.t in self.in_tree:
-                path = self._trace_sink()
-                self.net._push(path)
-                self.net.F += 1
-                delta = FlowDelta(delta.dF + 1, path)
-                self.stage_touches.append(self._stage_touched)
-                self._stage_touched = 0
-                self._rebuild_tree()
-        self.meter.end_op()
-        return delta
-
-    def current_stage_touches(self) -> int:
-        return self._stage_touched
-
-    def verify(self) -> bool:
-        return self.net.verify()
-
-    # -- internals -------------------------------------------------------
-
-    def _touch(self, count: int) -> None:
-        self.meter.touch(count)
-        self._stage_touched += count
-
-    def _explore(self, frontier: list[int]) -> None:
-        while frontier:
-            w = frontier.pop()
-            if self.net.t in self.in_tree:
-                return
-            targets = self.net.residual_out(w)
-            self._touch(len(targets))
-            for x in targets:
-                if x not in self.in_tree:
-                    self.parent[x] = w
-                    self.in_tree.add(x)
-                    frontier.append(x)
-
-    def _trace_sink(self) -> list[int]:
-        path = [self.net.t]
-        while path[-1] != self.net.s:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
-
-    def _rebuild_tree(self) -> None:
-        self.parent = {}
-        self.in_tree = {self.net.s}
-        stack = [self.net.s]
-        while stack:
-            w = stack.pop()
-            targets = self.net.residual_out(w)
-            self._touch(len(targets))
-            for x in targets:
-                if x not in self.in_tree:
-                    self.parent[x] = w
-                    self.in_tree.add(x)
-                    stack.append(x)

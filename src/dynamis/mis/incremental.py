@@ -22,7 +22,7 @@ class IncrementalMis(SimpleMis):
         if isinstance(event, InsertVertex) and event.neighbors:
             raise NotIncrementalError("only isolated vertex insertions are accepted")
         if not isinstance(event, (InsertEdge, InsertVertex)):
-            raise NotIncrementalError(f"deletion event {event!r} in incremental mode")
+            raise NotIncrementalError(f"{event!r} is not an insertion; incremental mode takes insertions only")
         return super().apply(event)
 
     def total_work(self) -> int:

@@ -223,3 +223,14 @@ def test_cli_run_agrees_with_replay(algorithm, verify, tmp_path, capsys):
     assert report == expected
     assert printed == [f"{v} {answer}" for v, answer in expected.get("query_results", [])]
     assert ("query_results" in expected) == algorithm.startswith("mis-")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_verify_leaves_the_meter_alone(algorithm):
+    # the audits and oracles after every event are checks, not algorithm work
+    stream = AGREEMENT_STREAMS[algorithm]()
+    plain, verified = replay(algorithm, stream), replay(algorithm, stream, verify=True)
+    for r in (plain, verified):
+        r["totals"].pop("wall_time_s")
+    assert verified.pop("verified") is True and plain.pop("verified") is None
+    assert plain == verified

@@ -202,4 +202,162 @@ def test_apply_takes_edge_updates_and_isolated_vertices(cls):
     for event in (DeleteVertex(1), InsertVertex((0,)), QueryInMis(0)):
         with pytest.raises(DynamisError):
             alg.apply(event)
-    assert alg.F == 1 and alg.meter.updates == 3 and alg.verify()
+    assert alg.F == 1 and alg.meter.updates == 4 and alg.verify()
+
+
+# -- the source reachability tree ---------------------------------------------
+
+
+def residual_reach(net):
+    seen, stack = {net.s}, [net.s]
+    while stack:
+        u = stack.pop()
+        for v in net.residual_out(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_insert_off_the_tree_touches_one(cls):
+    net = cls(5, 0, 4)
+    net.insert_edge(0, 1)
+    net.insert_edge(2, 3)  # s does not reach the tail
+    assert net.meter.op_edges_touched == 1
+    net.insert_edge(1, 0)  # both ends already in the tree
+    assert net.meter.op_edges_touched == 1
+    assert net.in_tree == {0, 1} and net.verify()
+
+
+def test_incremental_net_is_the_structure():
+    inc = IncrementalFlow(3, 0, 2)
+    assert inc.net is inc
+
+
+def test_delete_empty_tree_arc_rebuilds():
+    net = FlowNetwork(4, 0, 3)
+    net.insert_edge(0, 1)
+    net.insert_edge(1, 2)
+    assert net.parent == {1: 0, 2: 1}
+    net.delete_edge(1, 2)
+    assert net.in_tree == {0, 1} and net.parent == {1: 0}
+    assert net.meter.op_edges_touched == 1  # the rebuild reads the arc 0->1
+    assert net.verify()
+
+
+def test_delete_empty_non_tree_arc_leaves_tree():
+    net = FlowNetwork(5, 0, 4)
+    for u, v in [(0, 1), (0, 2), (1, 2)]:
+        net.insert_edge(u, v)
+    parent, in_tree = dict(net.parent), set(net.in_tree)
+    assert parent[2] == 0
+    before = net.meter.edges_touched
+    net.delete_edge(1, 2)
+    assert net.meter.edges_touched == before
+    assert net.parent == parent and net.in_tree == in_tree
+    assert net.verify()
+
+
+def test_anti_parallel_edges_with_flow_on_one():
+    net = FlowNetwork(4, 0, 3)
+    for u, v in [(0, 2), (2, 1), (1, 3)]:
+        net.insert_edge(u, v)
+    assert net.F == 1 and net.flow[(2, 1)] == 1 and net.in_tree == {0}
+    arcs = {(0, 2), (2, 1), (1, 3)}
+    steps = [
+        ("+", 1, 2),  # anti-parallel to the carried (2,1), tail off the tree
+        ("+", 0, 1),  # 1 joins, and 1->2 exists twice: forward and backward
+        ("-", 1, 2),  # empty tree arc, but (2,1) still gives 1->2
+        ("-", 2, 1),  # carried: rerouted 2->0->1
+        ("+", 2, 1),
+        ("+", 3, 2),  # anti-parallel to nothing yet, tail is the sink
+        ("+", 2, 3),  # anti-parallel to the empty (3,2); 2 reaches t again
+    ]
+    for op, u, v in steps:
+        if op == "+":
+            net.insert_edge(u, v)
+            arcs.add((u, v))
+        else:
+            net.delete_edge(u, v)
+            arcs.discard((u, v))
+        assert net.F == static_max_flow(range(4), arcs, 0, 3), (op, u, v)
+        assert net.in_tree == residual_reach(net), (op, u, v)
+        assert net.verify(), (op, u, v)
+    assert net.F == 2
+
+
+def test_anti_parallel_send_back():
+    net = FlowNetwork(4, 0, 3)
+    for u, v in [(0, 1), (1, 2), (2, 3), (2, 1)]:
+        net.insert_edge(u, v)
+    assert net.F == 1 and net.flow[(1, 2)] == 1 and net.flow[(2, 1)] == 0
+    delta = net.delete_edge(1, 2)
+    assert delta.dF == -1 and net.F == 0
+    assert net.in_tree == residual_reach(net) == {0, 1}
+    assert net.verify()
+    delta = net.insert_edge(1, 3)
+    assert delta.dF == 1 and delta.path == [0, 1, 3]
+    assert net.verify()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fully_dynamic_dense_stream_keeps_tree(seed):
+    # few vertices, so anti-parallel pairs and tree-arc deletions are common
+    rng = random.Random(500 + seed)
+    n = 7
+    net = FlowNetwork(n, 0, n - 1)
+    arcs = set()
+    for _ in range(300):
+        if rng.random() < 0.02:
+            net.apply(InsertVertex(()))
+            n += 1
+        elif rng.random() < 0.55 or not arcs:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u == v or (u, v) in arcs:
+                continue
+            arcs.add((u, v))
+            net.insert_edge(u, v)
+        else:
+            u, v = rng.choice(sorted(arcs))
+            arcs.discard((u, v))
+            net.delete_edge(u, v)
+        assert net.F == static_max_flow(range(n), arcs, 0, 6)
+        assert net.in_tree == residual_reach(net)
+        assert net.verify()
+
+
+def _tree_fixture():
+    net = FlowNetwork(5, 0, 4)
+    for u, v in [(0, 1), (1, 2), (0, 3), (3, 2)]:
+        net.insert_edge(u, v)
+    assert net.verify()
+    return net
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda net: net.in_tree.discard(2),  # a reachable vertex left out
+        lambda net: net.in_tree.add(4),  # an unreachable vertex let in
+        lambda net: net.parent.update({2: 0}),  # 0->2 is no residual arc
+        lambda net: net.parent.pop(3),  # a tree vertex without a parent
+        lambda net: net.parent.update({1: 2, 2: 1}),  # residual arcs, but a cycle
+    ],
+)
+def test_verify_catches_broken_tree(corrupt):
+    net = _tree_fixture()
+    net.insert_edge(2, 1)  # makes 2->1 residual, so the cycle case is all arcs
+    assert net.verify()
+    corrupt(net)
+    assert not net.verify()
+
+
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_verify_does_not_touch_the_meter(cls):
+    net = cls(6, 0, 5)
+    for u, v in [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4)]:
+        net.insert_edge(u, v)
+    before = (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches())
+    assert net.verify()
+    assert (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches()) == before

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dynamis import DeleteEdge, DeleteVertex, DynGraph, IncrementalMis, InsertEdge, InsertVertex
+from dynamis import DeleteEdge, DeleteVertex, DynGraph, IncrementalMis, InsertEdge, InsertVertex, QueryInMis
 from dynamis.errors import NotIncrementalError
 from dynamis.generators import gen_degree_biased
 from dynamis.oracles import is_mis
@@ -52,6 +52,14 @@ def test_deletion_rejected():
         alg.apply(DeleteVertex(0))
     with pytest.raises(NotIncrementalError):
         alg.apply(InsertVertex((0,)))
+
+
+def test_query_rejected_as_non_insertion():
+    alg = IncrementalMis(DynGraph(2))
+    with pytest.raises(NotIncrementalError) as info:
+        alg.apply(QueryInMis(0))
+    assert "not an insertion" in str(info.value)
+    assert "deletion" not in str(info.value)
 
 
 def test_isolated_vertex_insert_accepted():
