@@ -29,7 +29,7 @@ from .matching import DynamicMatching, IncrementalMatching
 from .mis import ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
 from .mis.implicit import _ceil_sqrt
 from .oracles import is_mis, static_max_flow
-from .stream import DeleteVertex, InsertVertex, QueryInMis, UpdateStream
+from .stream import DeleteEdge, DeleteVertex, InsertVertex, QueryInMis, UpdateStream
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,17 @@ def check_compatible(algorithm: str, stream: UpdateStream) -> Algorithm:
         raise IncompatibleStreamError(f"{algorithm} needs a `flow s t` header")
     if not row.flow and stream.flow is not None:
         raise IncompatibleStreamError(f"{algorithm} cannot replay a flow stream")
-    if row.incremental and not stream.is_incremental():
+    kinds = set(map(type, stream.events))
+    if row.incremental and (DeleteEdge in kinds or DeleteVertex in kinds):
         raise IncompatibleStreamError(f"{algorithm} rejects deletions")
-    if row.query is None and stream.has_queries():
+    if row.query is None and QueryInMis in kinds:
         raise IncompatibleStreamError(f"{algorithm} does not answer In-MIS queries")
-    if row.isolated_vertices:
+    if row.isolated_vertices and InsertVertex in kinds:
         if any(isinstance(e, InsertVertex) and e.neighbors for e in stream.events):
             raise IncompatibleStreamError(
                 f"{algorithm} accepts only isolated vertex insertions"
             )
-    if row.flow and any(isinstance(e, DeleteVertex) for e in stream.events):
+    if row.flow and DeleteVertex in kinds:
         raise IncompatibleStreamError(f"{algorithm} does not delete vertices")
     return row
 

@@ -11,11 +11,20 @@ is maximum exactly when ``t`` is outside the tree.
   joins, the flow is augmented along the tree path and the tree rebuilt;
   one augmentation suffices, since the flow was maximum before.  Any other
   insertion costs O(1).
-- Deleting an empty edge removes only its forward arc, so the tree is
-  rebuilt only if that arc was a tree arc.
+- Deleting an empty edge removes only its forward arc.  If that was a tree
+  arc, the subtree below it is cut off and re-hung (see below).
 - Deleting an edge that carries flow reroutes the unit from u to v, or else
   sends it back to the source through an auxiliary s->t arc, lowering the
-  flow value by one; either way the tree is rebuilt.
+  flow value by one.  The deleted edge's backward arc and every pushed arc
+  are lost, their reverses gained; the tree is then repaired the same way.
+
+Repairs follow decremental reachability (Even and Shiloach): the subtree
+below each lost tree arc is cut off, and every cut vertex, and the head of
+every gained arc whose tail is still in the tree, scans its residual in-arcs
+for a tree vertex to hang from and grows the tree from there.  The first cut
+vertex on any residual path from s has an in-arc from the uncut tree, so
+everything still reachable is found, and vertices outside the cut keep their
+tree paths.
 
 Within one stage (between augmentations) insertion-only tree work is linear
 in the edge count.  ``IncrementalFlow`` is the same structure with deletions
@@ -29,6 +38,7 @@ are distinct; only exact duplicates are rejected.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -148,22 +158,21 @@ class FlowNetwork:
         self.meter.begin_op()
         self.meter.updates += 1
         if not carried:
-            # only the forward arc u->v is gone; the tree needs it only as a tree arc
-            if self.parent.get(v) == u:
-                self._rebuild_tree()
+            if self.parent.get(v) == u:  # else the tree never used the lost arc u->v
+                self._repair([(u, v)], [])
             self.meter.end_op()
             return FlowDelta(0)
         path = self._find_path(u, v)
         if path is not None:
-            self._push(path)
             delta = FlowDelta(0, path)
         else:
             path = self._find_path(u, v, aux_st=True)
             assert path is not None, "send-back path must exist"
-            self._push(path, skip_aux=True)
             self.F -= 1
             delta = FlowDelta(-1, path)
-        self._rebuild_tree()
+        # the flow is maximum again, so re-hanging never reaches t
+        pushed = self._push(path, skip_aux=delta.dF < 0)
+        self._repair([(v, u)] + pushed, [(b, a) for a, b in pushed])
         self.meter.end_op()
         return delta
 
@@ -252,7 +261,10 @@ class FlowNetwork:
         self.in_tree = {self.s}
         self._explore([self.s])
 
-    def _reach(self, src: int, aux_st: bool = False, metered: bool = True) -> dict[int, int]:
+    def _reach(
+        self, src: int, aux_st: bool = False, metered: bool = True, dst: int | None = None
+    ) -> dict[int, int]:
+        """BFS labels ``prev`` over the residual reach of src, stopping once dst is labelled."""
         prev = {src: src}
         queue = deque([src])
         while queue:
@@ -265,11 +277,13 @@ class FlowNetwork:
             for v in targets:
                 if v not in prev:
                     prev[v] = u
+                    if v == dst:
+                        return prev
                     queue.append(v)
         return prev
 
     def _find_path(self, src: int, dst: int, aux_st: bool = False) -> list[int] | None:
-        prev = self._reach(src, aux_st=aux_st)
+        prev = self._reach(src, aux_st=aux_st, dst=dst)
         if dst not in prev or src == dst:
             return None
         path = [dst]
@@ -278,7 +292,9 @@ class FlowNetwork:
         path.reverse()
         return path
 
-    def _push(self, path: list[int], skip_aux: bool = False) -> None:
+    def _push(self, path: list[int], skip_aux: bool = False) -> list[tuple[int, int]]:
+        """Push one unit along a residual path; return the real arcs it used."""
+        pushed = []
         for a, b in zip(path, path[1:]):
             if self.flow.get((a, b)) == 0:
                 self.flow[(a, b)] = 1
@@ -286,6 +302,63 @@ class FlowNetwork:
                 self.flow[(b, a)] = 0
             else:
                 assert skip_aux and a == self.s and b == self.t, "broken residual path"
+                continue
+            pushed.append((a, b))
+        return pushed
+
+    def _residual(self, a: int, b: int) -> bool:
+        return self.flow.get((a, b)) == 0 or self.flow.get((b, a)) == 1
+
+    def _repair(self, lost: list[tuple[int, int]], gained: list[tuple[int, int]]) -> None:
+        """Restore the tree after the residual arcs ``lost`` went and ``gained`` came.
+
+        The subtree below every lost tree arc is cut off; then each cut
+        vertex, and the head of each gained arc whose tail is still in the
+        tree, hangs from a tree vertex with a residual arc into it, if any,
+        and the tree grows from there.
+        """
+        parent, in_tree = self.parent, self.in_tree
+        roots = [b for a, b in lost if parent.get(b) == a and not self._residual(a, b)]
+        cut = self._cut(roots) if roots else []
+        candidates = dict.fromkeys(cut + [a for b, a in gained if b in in_tree])
+        for x in candidates:
+            if x in in_tree:
+                continue
+            scanned = 0
+            for w in self._residual_in(x):
+                scanned += 1
+                if w in in_tree:
+                    parent[x] = w
+                    in_tree.add(x)
+                    break
+            self._touch(scanned)
+            if x in in_tree:
+                self._explore([x])
+
+    def _residual_in(self, x: int) -> Iterator[int]:
+        flow = self.flow
+        for w in self.in_edges[x]:
+            if flow[(w, x)] == 0:
+                yield w
+        for w in self.out_edges[x]:
+            if flow[(x, w)] == 1:
+                yield w
+
+    def _cut(self, roots: list[int]) -> list[int]:
+        """Drop the subtrees below ``roots`` from the tree; return their vertices."""
+        children: dict[int, list[int]] = {}
+        for x, w in self.parent.items():
+            children.setdefault(w, []).append(x)
+        cut = []
+        stack = roots
+        while stack:
+            x = stack.pop()
+            if x in self.in_tree:  # else it went with an earlier root's subtree
+                self.in_tree.remove(x)
+                del self.parent[x]
+                cut.append(x)
+                stack.extend(children.get(x, ()))
+        return cut
 
 
 class IncrementalFlow(FlowNetwork):

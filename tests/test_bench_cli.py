@@ -1,13 +1,14 @@
 import json
+from itertools import combinations
 
 import pytest
 
 from dynamis import UpdateStream, parse_stream, serialize_stream
-from dynamis.bench import ALGORITHMS, check_compatible, replay, scaling, stream_for_size
+from dynamis.bench import ALGORITHMS, REGISTRY, check_compatible, replay, scaling, stream_for_size
 from dynamis.cli import main
 from dynamis.errors import IncompatibleStreamError
 from dynamis.generators import gen_random_edges, gen_random_flow
-from dynamis.stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis
+from dynamis.stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis
 
 
 TOY = "n 4\n+e 0 1\n+e 1 2\n+e 2 3\n"
@@ -45,6 +46,47 @@ def test_check_compatible_query_and_vertex_rules():
     for alg in ("mis-inc", "mis-implicit", "match-inc"):
         with pytest.raises(IncompatibleStreamError):
             check_compatible(alg, attached)
+
+
+def _first_broken_rule(algorithm, stream):
+    """Reference: the rules checked one at a time, each by its own pass over the events."""
+    row = REGISTRY[algorithm]
+    events = stream.events
+    rules = [
+        (row.flow and stream.flow is None, "needs a `flow s t` header"),
+        (not row.flow and stream.flow is not None, "cannot replay a flow stream"),
+        (row.incremental and not stream.is_incremental(), "rejects deletions"),
+        (row.query is None and stream.has_queries(), "does not answer In-MIS queries"),
+        (
+            row.isolated_vertices and any(isinstance(e, InsertVertex) and e.neighbors for e in events),
+            "accepts only isolated vertex insertions",
+        ),
+        (row.flow and any(isinstance(e, DeleteVertex) for e in events), "does not delete vertices"),
+    ]
+    return next((f"{algorithm} {message}" for broken, message in rules if broken), None)
+
+
+_RULE_BREAKERS = {
+    "edge deletion": DeleteEdge(0, 1),
+    "vertex deletion": DeleteVertex(2),
+    "query": QueryInMis(0),
+    "attached vertex": InsertVertex((0,)),
+}
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_check_compatible_reports_the_first_broken_rule(algorithm):
+    for flow in (None, (0, 2)):
+        for pair in combinations(_RULE_BREAKERS, 2):
+            events = [InsertEdge(0, 1), InsertVertex(())] + [_RULE_BREAKERS[name] for name in pair]
+            stream = UpdateStream(n=3, flow=flow, events=events)
+            want = _first_broken_rule(algorithm, stream)
+            if want is None:
+                assert check_compatible(algorithm, stream) is REGISTRY[algorithm], (flow, pair)
+                continue
+            with pytest.raises(IncompatibleStreamError) as err:
+                check_compatible(algorithm, stream)
+            assert str(err.value) == want, (flow, pair)
 
 
 @pytest.mark.parametrize("algorithm", ["mis-simple", "mis-2level", "match-fd"])

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from dynamis import DeleteVertex, FlowNetwork, IncrementalFlow, InsertEdge, InsertVertex, QueryInMis
+from dynamis import (
+    DeleteEdge,
+    DeleteVertex,
+    FlowNetwork,
+    IncrementalFlow,
+    InsertEdge,
+    InsertVertex,
+    QueryInMis,
+)
 from dynamis.errors import (
     DynamisError,
     MissingEdgeError,
@@ -10,6 +18,7 @@ from dynamis.errors import (
     ParallelEdgeError,
     SelfLoopError,
 )
+from dynamis.generators import gen_random_flow
 from dynamis.oracles import static_max_flow
 
 
@@ -235,15 +244,86 @@ def test_incremental_net_is_the_structure():
     assert inc.net is inc
 
 
-def test_delete_empty_tree_arc_rebuilds():
+def test_delete_empty_tree_arc_rehangs_subtree():
     net = FlowNetwork(4, 0, 3)
     net.insert_edge(0, 1)
     net.insert_edge(1, 2)
     assert net.parent == {1: 0, 2: 1}
     net.delete_edge(1, 2)
     assert net.in_tree == {0, 1} and net.parent == {1: 0}
-    assert net.meter.op_edges_touched == 1  # the rebuild reads the arc 0->1
+    assert net.meter.op_edges_touched == 0  # the cut leaf 2 has no residual in-arc left
     assert net.verify()
+
+
+def test_delete_tree_arc_rehangs_through_the_other_arc():
+    # diamond 0->1, 0->2, 1->3, 2->3, 3->4; the sink 5 stays out of reach
+    net = FlowNetwork(6, 0, 5)
+    for u, v in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]:
+        net.insert_edge(u, v)
+    assert net.parent == {1: 0, 2: 0, 3: 1, 4: 3}
+    net.delete_edge(1, 3)
+    assert net.parent == {1: 0, 2: 0, 3: 2, 4: 3}  # 4 stays below 3
+    assert net.meter.op_edges_touched == 2  # the in-arc 2->3, then 3->4
+    assert net.in_tree == residual_reach(net) and net.verify()
+
+
+def test_delete_tree_arc_keeps_the_reachable_part_of_the_cut():
+    net = FlowNetwork(7, 0, 6)
+    for u, v in [(0, 1), (1, 2), (1, 3), (3, 4), (0, 3)]:
+        net.insert_edge(u, v)
+    assert net.parent == {1: 0, 2: 1, 3: 1, 4: 3}
+    net.delete_edge(0, 1)  # cuts 1, 2, 3 and 4; only 3 has another way in
+    assert net.in_tree == {0, 3, 4} == residual_reach(net)
+    assert net.parent == {3: 0, 4: 3}
+    assert net.verify()
+
+
+def test_carried_deletions_repair_the_tree():
+    # one unit on 0->1->2->6; 0->3->4->2->1 hangs 1 below 2
+    net = FlowNetwork(7, 0, 6)
+    for u, v in [(0, 1), (1, 2), (2, 6), (1, 3), (3, 4), (4, 2), (0, 3)]:
+        net.insert_edge(u, v)
+    assert net.F == 1 and net.parent == {3: 0, 4: 3, 2: 4, 1: 2}
+    # the reroute 1->3->4->2 flips the tree arcs 3->4 and 4->2
+    delta = net.delete_edge(1, 2)
+    assert delta.dF == 0 and delta.path == [1, 3, 4, 2]
+    assert net.in_tree == {0, 1, 3} == residual_reach(net)
+    assert net.parent == {3: 0, 1: 3}  # 1 hangs from the gained arc 3->1
+    assert net.F == 1 == oracle(net) and net.verify()
+    # no other way into the sink: the unit goes back 2->4->3->1->0
+    delta = net.delete_edge(2, 6)
+    assert delta.dF == -1 and delta.path == [2, 4, 3, 1, 0, 6]
+    assert net.in_tree == {0, 1, 2, 3, 4} == residual_reach(net)
+    assert net.parent == {3: 0, 1: 0, 4: 3, 2: 4}
+    assert net.F == 0 == oracle(net) and net.verify()
+
+
+def test_reroute_search_stops_at_its_target():
+    net = FlowNetwork(7, 0, 3)
+    for u, v in [(0, 1), (1, 3), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)]:
+        net.insert_edge(u, v)
+    assert net.F == 1 and net.in_tree == {0}
+    delta = net.delete_edge(1, 3)
+    assert delta.dF == 0 and delta.path == [1, 2, 3]
+    # 1 reads 0, 2 and 4; 0 reads nothing; 2 reads 3 and the search stops before 4->5->6
+    assert net.meter.op_edges_touched == 4
+    assert net.in_tree == {0} and net.verify()
+
+
+def test_deletion_work_linear():
+    # a deletion costs at most the reroute and send-back searches (m + 1
+    # each), one scan of the residual in-arcs of the cut, and one regrowth
+    for seed in range(300):
+        n = 4 + seed % 27
+        stream = gen_random_flow(n, 400, seed=900 + seed, p_insert=(0.55, 0.7, 0.85)[seed % 3])
+        net = FlowNetwork(n, 0, n - 1)
+        for event in stream.events:
+            m = net.m
+            net.apply(event)
+            if isinstance(event, DeleteEdge):
+                assert net.meter.op_edges_touched <= 4 * m + 2, (seed, event)
+        assert net.F == oracle(net), seed
+        assert net.in_tree == residual_reach(net) and net.verify(), seed
 
 
 def test_delete_empty_non_tree_arc_leaves_tree():
