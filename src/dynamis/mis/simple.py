@@ -11,6 +11,7 @@ sum-of-degrees-outside-M used by the amortized accounting.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import filterfalse
 from typing import Iterable
 
 from ..errors import IncompatibleStreamError
@@ -103,10 +104,12 @@ class SimpleMis:
             self.meter.potential -= 1
         if u in self.in_M and v not in self.in_M:
             self.count[v] -= 1
-            self._admit_zeros((v,), log)
+            if self.count[v] == 0:
+                self._enter(v, log)
         elif v in self.in_M and u not in self.in_M:
             self.count[u] -= 1
-            self._admit_zeros((u,), log)
+            if self.count[u] == 0:
+                self._enter(u, log)
 
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> int:
         v = self.g.insert_vertex(neighbors)
@@ -167,6 +170,9 @@ class SimpleMis:
         self.meter.touch(len(self.g.adj[v]))
 
     def _admit_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
-        for w in sorted(candidates):
-            if w in self.count and w not in self.in_M and self.count[w] == 0:
+        # Candidates are live.  An entry only raises counts, so only those at
+        # count zero now can enter; they are re-checked in id order.
+        count, in_M = self.count, self.in_M
+        for w in sorted(filterfalse(count.__getitem__, candidates)):
+            if count[w] == 0 and w not in in_M:
                 self._enter(w, log)

@@ -8,10 +8,16 @@ count drifts by a factor of two since the phase started.
 
 Classification follows the current degree: a vertex crossing the threshold
 migrates immediately, paying one neighbor scan at the crossing.
+
+A phase rebuild touches only the non-isolated vertices.  An isolated vertex
+is light and in the light MIS in every phase, so its state is kept as it is,
+and a rebuild costs O(m) rather than O(n + m), plus one C-level pass over the
+vertex table to find the non-isolated vertices.
 """
 
 from __future__ import annotations
 
+from itertools import compress, filterfalse
 from typing import Iterable
 
 from ..errors import IncompatibleStreamError
@@ -36,7 +42,14 @@ class TwoLevelMis:
         self.meter = CostMeter()
         self.phase_rebuilds = 0
         self.last_heavy_rebuild_touches = 0
-        self._init_phase()
+        # every vertex starts in the state an isolated vertex keeps across
+        # phases; the phase set-up then rebuilds the non-isolated ones
+        self.heavy: set[int] = set()
+        self.heavy_mis: set[int] = set()
+        self.heavy_nbrs: dict[int, set[int]] = {v: set() for v in g.vertices()}
+        self.light_M: set[int] = set(g.vertices())
+        self.light_count: dict[int, int] = dict.fromkeys(g.vertices(), 0)
+        self._init_phase(self._non_isolated())
 
     # -- public surface --------------------------------------------------
 
@@ -98,29 +111,45 @@ class TwoLevelMis:
 
     # -- phase management ------------------------------------------------
 
-    def _init_phase(self) -> None:
-        g = self.g
-        self.m_c = max(g.m, 1)
-        self.delta_c = _ceil_pow_two_thirds(self.m_c)
-        self.heavy = {v for v in g.vertices() if len(g.adj[v]) >= self.delta_c}
-        self.heavy_nbrs = {v: g.adj[v] & self.heavy for v in g.vertices()}
-        self.light_M: set[int] = set()
-        self.light_count = {v: 0 for v in g.vertices()}
-        for v in sorted(g.vertices()):
-            if v not in self.heavy and self.light_count[v] == 0:
-                self.light_M.add(v)
-                for w in g.adj[v]:
-                    self.light_count[w] += 1
-                self.meter.touch(len(g.adj[v]))
-        self.heavy_mis: set[int] = set()
-        self.meter.touch(sum(len(g.adj[v]) for v in g.vertices()))
+    def _non_isolated(self) -> list[int]:
+        adj = self.g.adj
+        return sorted(compress(adj, adj.values()))
+
+    def _init_phase(self, active: list[int]) -> None:
+        """Re-baseline the phase over ``active``, the sorted non-isolated vertices.
+
+        An isolated vertex is light, in ``light_M``, with ``light_count`` 0
+        and no heavy neighbours before and after any rebuild, so the rebuild
+        leaves it alone.  The greedy over ``active`` picks what a greedy over
+        all vertices would, and charges the same touches.
+        """
+        adj = self.g.adj
+        self.m_c = max(self.g.m, 1)
+        delta_c = self.delta_c = _ceil_pow_two_thirds(self.m_c)
+        heavy = self.heavy = {v for v in active if len(adj[v]) >= delta_c}
+        light_M, light_count, heavy_nbrs = self.light_M, self.light_count, self.heavy_nbrs
+        light_M.difference_update(active)
+        light_count.update(dict.fromkeys(active, 0))
+        heavy_nbrs.update({v: adj[v] & heavy for v in active})
+        touched = 0
+        for v in active:
+            if v not in heavy and light_count[v] == 0:
+                light_M.add(v)
+                for w in adj[v]:
+                    light_count[w] += 1
+                touched += len(adj[v])
+        self.meter.touch(touched)
+        self.heavy_mis = set()
+        self.meter.touch(2 * self.g.m)
         self._rebuild_heavy_mis(AdjustmentLog(), account=False)
 
     def _phase_rebuild(self, log: AdjustmentLog) -> None:
-        before = self.mis()
-        self._init_phase()
+        # isolated vertices are in the MIS before and after, so compare the rest
+        active = self._non_isolated()
+        before = self.light_M.intersection(active) | self.heavy_mis
+        self._init_phase(active)
         self.phase_rebuilds += 1
-        after = self.mis()
+        after = self.light_M.intersection(active) | self.heavy_mis
         for v in sorted(before - after):
             log.leave(v)
         for v in sorted(after - before):
@@ -157,7 +186,10 @@ class TwoLevelMis:
         for x in (u, v):
             if x in self.heavy and len(self.g.adj[x]) < self.delta_c:
                 self._migrate_to_light(x, log)
-        self._admit_light_zeros((u, v), log)
+        # u and v are no longer adjacent, so admitting one cannot block the other
+        for x in ((u, v) if u < v else (v, u)):
+            if self.light_count[x] == 0 and x not in self.light_M and x not in self.heavy:
+                self._light_enter(x, log)
 
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
         v = self.g.insert_vertex(neighbors)
@@ -172,7 +204,8 @@ class TwoLevelMis:
         for w in neighbors:
             if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
                 self._migrate_to_heavy(w, log)
-        self._admit_light_zeros((v,), log)
+        if self.light_count[v] == 0 and v not in self.light_M and v not in self.heavy:
+            self._light_enter(v, log)
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
@@ -233,13 +266,11 @@ class TwoLevelMis:
         self.meter.touch(len(self.g.adj[v]))
 
     def _admit_light_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
-        for w in sorted(candidates):
-            if (
-                w in self.light_count
-                and w not in self.heavy
-                and w not in self.light_M
-                and self.light_count[w] == 0
-            ):
+        # Candidates are live.  An entry only raises counts, so only those at
+        # count zero now can enter; they are re-checked in id order.
+        light_count, light_M, heavy = self.light_count, self.light_M, self.heavy
+        for w in sorted(filterfalse(light_count.__getitem__, candidates)):
+            if light_count[w] == 0 and w not in light_M and w not in heavy:
                 self._light_enter(w, log)
 
     def _rebuild_heavy_mis(self, log: AdjustmentLog, account: bool = True) -> None:

@@ -9,40 +9,59 @@ flow stream (``+e u v`` is then read as a directed edge u->v).
     +v d v1 ... vd    insert vertex with d neighbors
     -v u              delete vertex
     ? v               In-MIS query
+
+Events are named tuples, immutable and hashable, that compare equal only
+within their kind: ``InsertEdge(1, 2) != DeleteEdge(1, 2)``.  The parser
+reads the text in one pass and builds edge events without calling their
+constructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import StreamParseError
 
 
-@dataclass(frozen=True)
-class InsertEdge:
+def _same_event(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _other_event(self, other) -> bool:
+    return not _same_event(self, other)
+
+
+class InsertEdge(NamedTuple):
     u: int
     v: int
 
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
-@dataclass(frozen=True)
-class DeleteEdge:
+
+class DeleteEdge(NamedTuple):
     u: int
     v: int
 
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
-@dataclass(frozen=True)
-class InsertVertex:
+
+class InsertVertex(NamedTuple):
     neighbors: tuple[int, ...] = ()
 
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
-@dataclass(frozen=True)
-class DeleteVertex:
+
+class DeleteVertex(NamedTuple):
     v: int
 
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
-@dataclass(frozen=True)
-class QueryInMis:
+
+class QueryInMis(NamedTuple):
     v: int
+
+    __eq__, __ne__, __hash__ = _same_event, _other_event, tuple.__hash__
 
 
 UpdateEvent = InsertEdge | DeleteEdge | InsertVertex | DeleteVertex | QueryInMis
@@ -54,53 +73,55 @@ class UpdateStream:
     flow: tuple[int, int] | None = None
     events: list[UpdateEvent] = field(default_factory=list)
 
-    def is_incremental(self) -> bool:
-        return not any(isinstance(e, (DeleteEdge, DeleteVertex)) for e in self.events)
 
-    def has_queries(self) -> bool:
-        return any(isinstance(e, QueryInMis) for e in self.events)
+# first token -> (event kind whose fields are single ids, tokens on its line)
+_ID_EVENTS = {"+e": (InsertEdge, 3), "-e": (DeleteEdge, 3), "-v": (DeleteVertex, 2), "?": (QueryInMis, 2)}
+_NOT_ID_EVENT = (None, 0)
 
 
 def parse_stream(text: str) -> UpdateStream:
     stream = UpdateStream()
-    seen_event = False
+    events = stream.events
+    append = events.append
+    new = tuple.__new__
+    lookup = _ID_EVENTS.get
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        tok = raw.split()
+        if not tok:
             continue
-        tok = line.split()
-        try:
-            if tok[0] == "n" and len(tok) == 2:
-                if seen_event:
-                    raise StreamParseError(line_no, "header after events")
-                stream.n = _nonneg(tok[1], line_no)
-                continue
-            if tok[0] == "flow" and len(tok) == 3:
-                if seen_event:
-                    raise StreamParseError(line_no, "header after events")
-                stream.flow = (_nonneg(tok[1], line_no), _nonneg(tok[2], line_no))
-                continue
-            seen_event = True
-            if tok[0] == "+e" and len(tok) == 3:
-                stream.events.append(InsertEdge(_nonneg(tok[1], line_no), _nonneg(tok[2], line_no)))
-            elif tok[0] == "-e" and len(tok) == 3:
-                stream.events.append(DeleteEdge(_nonneg(tok[1], line_no), _nonneg(tok[2], line_no)))
-            elif tok[0] == "+v" and len(tok) >= 2:
-                d = _nonneg(tok[1], line_no)
-                nbrs = tuple(_nonneg(t, line_no) for t in tok[2:])
-                if len(nbrs) != d:
-                    raise StreamParseError(line_no, f"expected {d} neighbors, got {len(nbrs)}")
-                stream.events.append(InsertVertex(nbrs))
-            elif tok[0] == "-v" and len(tok) == 2:
-                stream.events.append(DeleteVertex(_nonneg(tok[1], line_no)))
-            elif tok[0] == "?" and len(tok) == 2:
-                stream.events.append(QueryInMis(_nonneg(tok[1], line_no)))
+        kind, size = lookup(tok[0], _NOT_ID_EVENT)
+        if size == len(tok):
+            if size == 3:
+                _, a, b = tok
+                try:
+                    u, v = int(a), int(b)
+                except ValueError:
+                    u = v = -1
+                if u < 0 or v < 0:
+                    u, v = _nonneg(a, line_no), _nonneg(b, line_no)
+                append(new(kind, (u, v)))
             else:
-                raise StreamParseError(line_no, f"unrecognized event {line!r}")
-        except StreamParseError:
-            raise
-        except IndexError:
-            raise StreamParseError(line_no, f"truncated line {line!r}") from None
+                append(new(kind, (_nonneg(tok[1], line_no),)))
+            continue
+        head = tok[0]
+        if head == "+v" and len(tok) >= 2:
+            d = _nonneg(tok[1], line_no)
+            nbrs = tuple([_nonneg(t, line_no) for t in tok[2:]])
+            if len(nbrs) != d:
+                raise StreamParseError(line_no, f"expected {d} neighbors, got {len(nbrs)}")
+            append(new(InsertVertex, (nbrs,)))
+        elif (head == "n" and len(tok) == 2) or (head == "flow" and len(tok) == 3):
+            # a line that is neither blank nor a header adds an event or raises
+            if events:
+                raise StreamParseError(line_no, "header after events")
+            if head == "n":
+                stream.n = _nonneg(tok[1], line_no)
+            else:
+                stream.flow = (_nonneg(tok[1], line_no), _nonneg(tok[2], line_no))
+        else:
+            raise StreamParseError(line_no, f"unrecognized event {raw.strip()!r}")
     return stream
 
 

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -8,9 +9,11 @@ from dynamis import (
     DynGraph,
     InsertEdge,
     InsertVertex,
+    QueryInMis,
     SimpleMis,
     TwoLevelMis,
 )
+from dynamis.generators import gen_arbitrary_removal, gen_degree_biased, gen_random_edges
 from dynamis.mis.twolevel import _ceil_pow_two_thirds
 from dynamis.oracles import is_mis
 
@@ -198,3 +201,42 @@ def test_heavy_rebuild_budget(seed):
         alg.apply(event)
         bound = (2 * max(g.m, 1) / alg.delta_c) ** 2
         assert alg.last_heavy_rebuild_touches <= max(bound, 1)
+
+
+_PHASE_STATE = ("light_M", "heavy", "heavy_mis", "light_count", "heavy_nbrs", "m_c", "delta_c")
+
+
+def _assert_rebuilds_match_fresh(stream):
+    g = DynGraph(stream.n)
+    alg = TwoLevelMis(g)
+    seen, heavy_seen = 0, False
+    for event in stream.events:
+        if isinstance(event, QueryInMis):
+            continue
+        alg.apply(event)
+        if alg.phase_rebuilds == seen:
+            continue
+        seen = alg.phase_rebuilds
+        fresh = TwoLevelMis(copy.deepcopy(g))
+        for name in _PHASE_STATE:
+            assert getattr(alg, name) == getattr(fresh, name), (seen, name)
+        heavy_seen |= bool(alg.heavy)
+    return seen, heavy_seen
+
+
+def test_rebuild_state_matches_fresh_build_on_sparse_preallocated_graph():
+    # 5,000 vertices, a few hundred edges: almost every vertex is isolated
+    stream = gen_random_edges(5000, 700, seed=11, p_insert=0.6, query_rate=0.05)
+    assert _assert_rebuilds_match_fresh(stream)[0] >= 5
+
+
+def test_rebuild_state_matches_fresh_build_with_vertex_deletions():
+    stream = gen_random_edges(60, 900, seed=12, p_insert=0.6, vertex_rate=0.2)
+    assert any(isinstance(e, DeleteVertex) for e in stream.events)
+    assert _assert_rebuilds_match_fresh(stream)[0] >= 5
+
+
+def test_rebuild_state_matches_fresh_build_with_heavy_vertices():
+    for stream in (gen_degree_biased(256), gen_arbitrary_removal(256, 16)):
+        rebuilds, heavy_seen = _assert_rebuilds_match_fresh(stream)
+        assert rebuilds >= 5 and heavy_seen
