@@ -30,15 +30,20 @@ Within one stage (between augmentations) insertion-only tree work is linear
 in the edge count.  ``IncrementalFlow`` is the same structure with deletions
 rejected.
 
-Residual arcs are derived from the flow flags: an edge carries its arc
-forward while empty and backward while saturated.  Anti-parallel real edges
-are distinct; only exact duplicates are rejected.
+The residual graph is kept as adjacency sets, ``res_out[u]`` and
+``res_in[v]``, beside the flow flags in ``flow``: an edge gives its arc
+forward while empty and backward while saturated.  Insertions, deletions and
+flips in ``_push`` update the sets in O(1), and every search reads them
+directly, in set order; that order follows from the update history alone, so
+replays stay deterministic.  Anti-parallel real edges are distinct (only
+exact duplicates are rejected), and both can give the same arc: an empty
+(u,v) and a saturated (v,u) both give u->v, which leaves the sets only when
+neither edge keeps it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -65,8 +70,8 @@ class FlowNetwork:
     def __init__(self, n: int, s: int, t: int):
         if s == t:
             raise SelfLoopError("source equals sink")
-        self.out_edges: dict[int, set[int]] = {v: set() for v in range(n)}
-        self.in_edges: dict[int, set[int]] = {v: set() for v in range(n)}
+        self.res_out: dict[int, set[int]] = {v: set() for v in range(n)}
+        self.res_in: dict[int, set[int]] = {v: set() for v in range(n)}
         self.flow: dict[tuple[int, int], int] = {}
         self.s = s
         self.t = t
@@ -83,28 +88,27 @@ class FlowNetwork:
 
     @property
     def n(self) -> int:
-        return len(self.out_edges)
+        return len(self.res_out)
 
     @property
     def m(self) -> int:
         return len(self.flow)
 
     def add_vertex(self) -> int:
-        v = len(self.out_edges)
-        self.out_edges[v] = set()
-        self.in_edges[v] = set()
+        v = len(self.res_out)
+        self.res_out[v] = set()
+        self.res_in[v] = set()
         return v
 
     def vertices(self) -> list[int]:
-        return list(self.out_edges)
+        return list(self.res_out)
 
     def directed_edges(self) -> list[tuple[int, int]]:
         return list(self.flow)
 
     def residual_out(self, u: int) -> list[int]:
-        targets = {v for v in self.out_edges[u] if self.flow[(u, v)] == 0}
-        targets |= {v for v in self.in_edges[u] if self.flow[(v, u)] == 1}
-        return sorted(targets)
+        """The heads of u's residual arcs, sorted (the searches read ``res_out``)."""
+        return sorted(self.res_out[u])
 
     def current_stage_touches(self) -> int:
         return self._stage_touched
@@ -153,15 +157,15 @@ class FlowNetwork:
         if (u, v) not in self.flow:
             raise MissingEdgeError(f"edge ({u},{v}) not present")
         carried = self.flow.pop((u, v))
-        self.out_edges[u].discard(v)
-        self.in_edges[v].discard(u)
         self.meter.begin_op()
         self.meter.updates += 1
         if not carried:
+            self._drop_arc(u, v)
             if self.parent.get(v) == u:  # else the tree never used the lost arc u->v
                 self._repair([(u, v)], [])
             self.meter.end_op()
             return FlowDelta(0)
+        self._drop_arc(v, u)
         path = self._find_path(u, v)
         if path is not None:
             delta = FlowDelta(0, path)
@@ -179,35 +183,51 @@ class FlowNetwork:
     # -- auditing --------------------------------------------------------
 
     def verify(self) -> bool:
-        """Capacity, conservation, flow value, maximality and the source tree.
+        """Capacity, conservation, flow value, the residual sets, maximality and the tree.
 
-        The residual reach is recomputed without touching the meter.
+        One pass over the edges checks the flags, sums the balances of the
+        saturated edges and checks that every arc an edge gives is in both
+        residual sets; the set sizes must then sum to the number of distinct
+        arcs, so the sets hold nothing else.  Only then is the residual reach
+        recomputed from them, without touching the meter.
         """
-        balance: dict[int, int] = {v: 0 for v in self.out_edges}
-        for (u, v), f in self.flow.items():
-            if f not in (0, 1):
-                return False
-            balance[u] -= f
-            balance[v] += f
-        for v, b in balance.items():
-            if v == self.s or v == self.t:
-                continue
-            if b != 0:
-                return False
-        if -balance[self.s] != self.F or balance[self.t] != self.F or self.F < 0:
+        flow, res_out, res_in = self.flow, self.res_out, self.res_in
+        if res_in.keys() != res_out.keys():
             return False
-        reach = self._reach(self.s, metered=False)
-        if self.t in reach:
+        balance: dict[int, int] = {}
+        arcs = len(flow)
+        for (u, v), f in flow.items():
+            if f == 0:
+                if flow.get((v, u)) == 1:
+                    arcs -= 1  # the saturated (v,u) gives u->v as well
+                a, b = u, v
+            elif f == 1:
+                balance[u] = balance.get(u, 0) - 1
+                balance[v] = balance.get(v, 0) + 1
+                a, b = v, u
+            else:
+                return False
+            if b not in res_out[a] or a not in res_in[b]:
+                return False
+        if sum(map(len, res_out.values())) != arcs or sum(map(len, res_in.values())) != arcs:
             return False
-        if self.in_tree != reach.keys() or self.parent.keys() != self.in_tree - {self.s}:
+        s, t = self.s, self.t
+        if any(b for v, b in balance.items() if v != s and v != t):
+            return False
+        if -balance.get(s, 0) != self.F or balance.get(t, 0) != self.F or self.F < 0:
+            return False
+        reach = self._reach(s, metered=False)
+        if t in reach:
+            return False
+        if self.in_tree != reach.keys() or self.parent.keys() != self.in_tree - {s}:
             return False
         children: dict[int, list[int]] = {}
         for x, w in self.parent.items():
-            if self.flow.get((w, x)) != 0 and self.flow.get((x, w)) != 1:
+            if x not in res_out[w]:
                 return False
             children.setdefault(w, []).append(x)
         # every tree vertex must hang from s, not from a cycle of parent arcs
-        hung, stack = 1, [self.s]
+        hung, stack = 1, [s]
         while stack:
             kids = children.get(stack.pop(), [])
             hung += len(kids)
@@ -224,11 +244,17 @@ class FlowNetwork:
         if (u, v) in self.flow:
             raise ParallelEdgeError(f"edge ({u},{v}) already present")
         self.flow[(u, v)] = 0
-        self.out_edges[u].add(v)
-        self.in_edges[v].add(u)
+        self.res_out[u].add(v)
+        self.res_in[v].add(u)
+
+    def _drop_arc(self, a: int, b: int) -> None:
+        """Remove the residual arc a->b unless an edge still gives it."""
+        if self.flow.get((a, b)) != 0 and self.flow.get((b, a)) != 1:
+            self.res_out[a].discard(b)
+            self.res_in[b].discard(a)
 
     def _require(self, v: int) -> None:
-        if v not in self.out_edges:
+        if v not in self.res_out:
             raise UnknownVertexError(f"vertex {v} is not live")
 
     def _touch(self, count: int) -> None:
@@ -236,16 +262,17 @@ class FlowNetwork:
         self._stage_touched += count
 
     def _explore(self, frontier: list[int]) -> None:
+        res_out, parent, in_tree, t = self.res_out, self.parent, self.in_tree, self.t
         while frontier:
             w = frontier.pop()
-            if self.t in self.in_tree:
+            if t in in_tree:
                 return
-            targets = self.residual_out(w)
+            targets = res_out[w]
             self._touch(len(targets))
             for x in targets:
-                if x not in self.in_tree:
-                    self.parent[x] = w
-                    self.in_tree.add(x)
+                if x not in in_tree:
+                    parent[x] = w
+                    in_tree.add(x)
                     frontier.append(x)
 
     def _trace_sink(self) -> list[int]:
@@ -265,13 +292,14 @@ class FlowNetwork:
         self, src: int, aux_st: bool = False, metered: bool = True, dst: int | None = None
     ) -> dict[int, int]:
         """BFS labels ``prev`` over the residual reach of src, stopping once dst is labelled."""
+        res_out, s, t = self.res_out, self.s, self.t
         prev = {src: src}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            targets = self.residual_out(u)
-            if aux_st and u == self.s and self.t not in targets:
-                targets = sorted(targets + [self.t])
+            targets = res_out[u]
+            if aux_st and u == s and t not in targets:
+                targets = [*targets, t]
             if metered:
                 self._touch(len(targets))
             for v in targets:
@@ -293,21 +321,26 @@ class FlowNetwork:
         return path
 
     def _push(self, path: list[int], skip_aux: bool = False) -> list[tuple[int, int]]:
-        """Push one unit along a residual path; return the real arcs it used."""
+        """Push one unit along a residual path; return the real arcs it used.
+
+        Each used arc a->b leaves the residual sets unless the other edge
+        between a and b still gives it, and its reverse b->a joins them.
+        """
+        flow, res_out, res_in = self.flow, self.res_out, self.res_in
         pushed = []
         for a, b in zip(path, path[1:]):
-            if self.flow.get((a, b)) == 0:
-                self.flow[(a, b)] = 1
-            elif self.flow.get((b, a)) == 1:
-                self.flow[(b, a)] = 0
+            if flow.get((a, b)) == 0:
+                flow[(a, b)] = 1
+            elif flow.get((b, a)) == 1:
+                flow[(b, a)] = 0
             else:
                 assert skip_aux and a == self.s and b == self.t, "broken residual path"
                 continue
+            self._drop_arc(a, b)
+            res_out[b].add(a)
+            res_in[a].add(b)
             pushed.append((a, b))
         return pushed
-
-    def _residual(self, a: int, b: int) -> bool:
-        return self.flow.get((a, b)) == 0 or self.flow.get((b, a)) == 1
 
     def _repair(self, lost: list[tuple[int, int]], gained: list[tuple[int, int]]) -> None:
         """Restore the tree after the residual arcs ``lost`` went and ``gained`` came.
@@ -317,15 +350,15 @@ class FlowNetwork:
         tree, hangs from a tree vertex with a residual arc into it, if any,
         and the tree grows from there.
         """
-        parent, in_tree = self.parent, self.in_tree
-        roots = [b for a, b in lost if parent.get(b) == a and not self._residual(a, b)]
+        parent, in_tree, res_out, res_in = self.parent, self.in_tree, self.res_out, self.res_in
+        roots = [b for a, b in lost if parent.get(b) == a and b not in res_out[a]]
         cut = self._cut(roots) if roots else []
         candidates = dict.fromkeys(cut + [a for b, a in gained if b in in_tree])
         for x in candidates:
             if x in in_tree:
                 continue
             scanned = 0
-            for w in self._residual_in(x):
+            for w in res_in[x]:
                 scanned += 1
                 if w in in_tree:
                     parent[x] = w
@@ -334,15 +367,6 @@ class FlowNetwork:
             self._touch(scanned)
             if x in in_tree:
                 self._explore([x])
-
-    def _residual_in(self, x: int) -> Iterator[int]:
-        flow = self.flow
-        for w in self.in_edges[x]:
-            if flow[(w, x)] == 0:
-                yield w
-        for w in self.out_edges[x]:
-            if flow[(x, w)] == 1:
-                yield w
 
     def _cut(self, roots: list[int]) -> list[int]:
         """Drop the subtrees below ``roots`` from the tree; return their vertices."""

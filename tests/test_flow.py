@@ -441,3 +441,134 @@ def test_verify_does_not_touch_the_meter(cls):
     before = (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches())
     assert net.verify()
     assert (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches()) == before
+
+
+# -- the residual adjacency sets ----------------------------------------------
+
+
+def derived_residual(net):
+    """res_out and res_in re-derived from the flow flags alone."""
+    out = {v: set() for v in net.vertices()}
+    into = {v: set() for v in net.vertices()}
+    for (u, v), f in net.flow.items():
+        a, b = (v, u) if f else (u, v)
+        out[a].add(b)
+        into[b].add(a)
+    return out, into
+
+
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_residual_sets_follow_the_flow(cls):
+    seen = {"anti-parallel": 0, "augment": 0, "reroute": 0, "send-back": 0}
+    for seed in range(40):
+        n = 5 + seed % 9  # few vertices, so anti-parallel pairs are common
+        p_insert = 1.0 if cls is IncrementalFlow else (0.55, 0.7)[seed % 2]
+        stream = gen_random_flow(n, 150, seed=1300 + seed, p_insert=p_insert)
+        net = cls(n, 0, n - 1)
+        for event in stream.events:
+            carried = net.flow.get((event.u, event.v)) == 1
+            delta = net.apply(event)
+            if delta.dF == 1:
+                seen["augment"] += 1
+            elif carried:
+                seen["send-back" if delta.dF < 0 else "reroute"] += 1
+            seen["anti-parallel"] += (event.v, event.u) in net.flow
+            assert (net.res_out, net.res_in) == derived_residual(net), (seed, event)
+        assert net.verify(), seed
+    assert seen["anti-parallel"] and seen["augment"], seen
+    if cls is FlowNetwork:
+        assert seen["reroute"] and seen["send-back"], seen
+
+
+def test_residual_out_lists_the_set_sorted():
+    net = FlowNetwork(20, 0, 19)
+    for u, v in [(0, 10), (10, 19), (10, 17), (10, 2)]:
+        net.insert_edge(u, v)
+    assert net.F == 1
+    # 10 keeps its two empty arcs and gains 10->0 from the saturated (0,10)
+    assert net.residual_out(10) == [0, 2, 17] and net.residual_out(0) == []
+
+
+def _anti_parallel_fixture():
+    # the unit runs 0->1->3; the empty (1,0) and the saturated (0,1) both give 1->0
+    net = FlowNetwork(4, 0, 3)
+    for u, v in [(0, 1), (1, 3), (1, 0), (0, 2)]:
+        net.insert_edge(u, v)
+    assert net.F == 1 and net.flow[(0, 1)] == 1 and net.flow[(1, 0)] == 0
+    assert net.res_out[1] == {0} and net.verify()
+    return net
+
+
+def _drop(net, a, b):
+    net.res_out[a].discard(b)
+    net.res_in[b].discard(a)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda net: (net.res_out[2].add(3), net.res_in[3].add(2)),  # a stray arc in both sets
+        lambda net: _drop(net, 0, 2),  # the empty (0,2)'s arc missing from both
+        lambda net: net.res_in[3].add(2),  # a stray arc in res_in only
+        lambda net: net.res_out[2].add(3),  # a stray arc in res_out only
+        # res_in out of step with res_out, with the sizes still right
+        lambda net: (net.res_in[2].discard(0), net.res_in[3].add(2)),
+        lambda net: _drop(net, 1, 0),  # dropped, though (1,0) and (0,1) both give it
+        lambda net: net.res_in.pop(2),  # a vertex without its in-set
+    ],
+)
+def test_verify_catches_broken_residual_sets(corrupt):
+    net = _anti_parallel_fixture()
+    corrupt(net)
+    assert not net.verify()
+
+
+def test_anti_parallel_arc_stays_while_one_edge_gives_it():
+    net = _anti_parallel_fixture()
+    net.delete_edge(1, 0)  # the saturated (0,1) still gives 1->0
+    assert net.res_out[1] == {0} and net.res_in[0] == {1}
+    assert (net.res_out, net.res_in) == derived_residual(net) and net.verify()
+    net.insert_edge(1, 0)
+    net.delete_edge(0, 1)  # carried and sent back; the empty (1,0) still gives 1->0
+    assert net.F == 0 and net.res_out[1] == {0, 3}  # and the emptied (1,3) gives 1->3
+    assert (net.res_out, net.res_in) == derived_residual(net) and net.verify()
+
+
+# -- the meter against the scans it stands for --------------------------------
+
+
+class CountingSet(set):
+    """A set that adds every entry its iteration hands out to a shared tally."""
+
+    def __init__(self, tally):
+        super().__init__()
+        self.tally = tally
+
+    def __iter__(self):
+        tally = self.tally
+        for x in set.__iter__(self):
+            tally[0] += 1
+            yield x
+
+
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_meter_covers_every_residual_scan(cls):
+    # every entry an update reads from res_out or res_in is metered;
+    # verify() reads unmetered and is left out
+    total_reads = 0
+    for seed in range(60):
+        n = 4 + seed % 37
+        p_insert = 1.0 if cls is IncrementalFlow else (0.55, 0.7, 0.85)[seed % 3]
+        stream = gen_random_flow(n, 300, seed=1700 + seed, p_insert=p_insert)
+        net = cls(n, 0, n - 1)
+        tally = [0]
+        net.res_out = {v: CountingSet(tally) for v in net.res_out}
+        net.res_in = {v: CountingSet(tally) for v in net.res_in}
+        for event in stream.events:
+            before = tally[0]
+            net.apply(event)
+            reads = tally[0] - before
+            assert reads <= net.meter.op_edges_touched, (seed, event, reads)
+            total_reads += reads
+        assert net.F == oracle(net), seed
+    assert total_reads > 0
