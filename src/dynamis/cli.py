@@ -86,10 +86,21 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_sizes(text: str) -> list[int]:
+    """``--sizes`` as edge budgets: positive integers, at least two distinct ones."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise GeneratorParameterError(f"--sizes takes comma-separated integers, got {text!r}") from None
+    if any(m <= 0 for m in sizes):
+        raise GeneratorParameterError(f"--sizes must be positive, got {text!r}")
+    if len(set(sizes)) < 2:
+        raise GeneratorParameterError(f"--sizes needs two distinct sizes to fit a slope, got {text!r}")
+    return sizes
+
+
 def cmd_scaling(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    if not sizes:
-        raise GeneratorParameterError("empty size list")
+    sizes = _parse_sizes(args.sizes)
     report = scaling(args.algorithm, args.family, sizes, seed=args.seed)
     _emit(report, args.report)
     return 0

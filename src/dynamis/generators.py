@@ -48,6 +48,10 @@ class GenSpec:
     vertex_rate: float = 0.0
 
     def generate(self) -> UpdateStream:
+        for name in ("p_insert", "query_rate", "vertex_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise GeneratorParameterError(f"{name} must lie in [0, 1], got {value}")
         if self.family == "arbitrary-removal":
             return gen_arbitrary_removal(self.m, self.delta)
         if self.family == "degree-biased":

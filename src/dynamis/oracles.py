@@ -1,8 +1,11 @@
-"""Brute-force reference implementations used as ground truth in tests.
+"""Independent reference implementations used as ground truth.
 
-Nothing here shares code with the dynamic modules it validates.  These run
-at test scale only; no attention is paid to performance beyond keeping the
-acceptance suite tolerable.
+Nothing here shares code with the dynamic modules it validates.
+``dynamis run --verify`` calls ``is_mis``, ``static_max_flow`` and (through
+the matching audits) ``static_max_matching`` after every event, so those
+three are kept cheap while still computing every answer from scratch.  The
+enumerations (``min_cut_enumerate``, ``exhaustive_max_matching``) are
+exponential and only cross-check the other oracles in tests.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ def is_mis(adj: Mapping[int, set[int]], mis: set[int]) -> OracleReport:
     for v in mis:
         if v not in adj:
             return OracleReport(False, f"{v} is not a live vertex")
-        hit = adj[v] & mis
-        if hit:
-            return OracleReport(False, f"edge inside the set: ({v},{min(hit)})")
+        if not adj[v].isdisjoint(mis):
+            return OracleReport(False, f"edge inside the set: ({v},{min(adj[v] & mis)})")
     for v in adj:
-        if v not in mis and not (adj[v] & mis):
+        if v not in mis and adj[v].isdisjoint(mis):
             return OracleReport(False, f"vertex {v} outside the set has no neighbor in it")
     return OracleReport(True)
 
@@ -46,15 +48,17 @@ def static_mis(adj: Mapping[int, set[int]], order: Sequence[int] | None = None) 
 
 
 def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
-    """Max-flow value by repeated augmenting BFS from scratch (unit capacities)."""
-    cap: dict[tuple[int, int], int] = {}
-    out: dict[int, set[int]] = {v: set() for v in vertices}
+    """Max-flow value by repeated augmenting BFS from scratch (unit capacities).
+
+    ``res[u][v]`` is the residual capacity of arc u->v.  A reverse arc gets
+    its entry when flow first crosses its edge, so building the map costs one
+    lookup per edge and a BFS scans one dict per vertex.
+    """
+    res: dict[int, dict[int, int]] = {v: {} for v in vertices}
     for u, v in edges:
-        cap[(u, v)] = cap.get((u, v), 0) + 1
-        cap.setdefault((v, u), 0)
-        out[u].add(v)
-        out[v].add(u)
-    if s == t or s not in out or t not in out:
+        out = res[u]
+        out[v] = out.get(v, 0) + 1
+    if s == t or s not in res or t not in res:
         return 0
     value = 0
     while True:
@@ -62,8 +66,8 @@ def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s
         queue = deque([s])
         while queue and t not in prev:
             u = queue.popleft()
-            for v in out[u]:
-                if v not in prev and cap.get((u, v), 0) > 0:
+            for v, c in res[u].items():
+                if c and v not in prev:
                     prev[v] = u
                     queue.append(v)
         if t not in prev:
@@ -71,8 +75,9 @@ def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s
         v = t
         while v != s:
             u = prev[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
+            res[u][v] -= 1
+            back = res[v]
+            back[u] = back.get(u, 0) + 1
             v = u
         value += 1
 
@@ -93,11 +98,16 @@ def min_cut_enumerate(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
 
 
 def static_max_matching(adj: Mapping[int, set[int]]) -> int:
-    """Maximum matching cardinality via a static blossom-contraction search."""
+    """Maximum matching cardinality via a static blossom-contraction search.
+
+    A greedy maximal matching seeds the searches.  By Edmonds' theorem a
+    vertex with no augmenting path from it never gains one after later
+    augmentations, so one search per vertex still free is enough.
+    """
     ids = sorted(adj)
     index = {v: i for i, v in enumerate(ids)}
     n = len(ids)
-    nbrs = [sorted(index[w] for w in adj[v]) for v in ids]
+    nbrs = [[index[w] for w in adj[v]] for v in ids]
     match = [-1] * n
 
     def lca(base: list[int], p: list[int], a: int, b: int) -> int:
@@ -161,7 +171,14 @@ def static_max_matching(adj: Mapping[int, set[int]]) -> int:
 
     size = 0
     for v in range(n):
-        if match[v] == -1 and find_path(v):
+        if match[v] == -1:
+            for w in nbrs[v]:
+                if match[w] == -1:
+                    match[v], match[w] = w, v
+                    size += 1
+                    break
+    for v in range(n):
+        if match[v] == -1 and nbrs[v] and find_path(v):
             size += 1
     return size
 

@@ -219,6 +219,22 @@ def test_cli_scaling_report(tmp_path, capsys):
     assert isinstance(report["slope"], float)
 
 
+@pytest.mark.parametrize(
+    "sizes", ["4096,abc", "4096", "4096,4096", ",", "0,4096", "-256,4096", "256,1.5"]
+)
+def test_cli_scaling_bad_sizes_exit_2(sizes, capsys):
+    assert main(["scaling", "mis-simple", "arbitrary-removal", f"--sizes={sizes}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --sizes") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_gen_probability_out_of_range_exits_2(capsys):
+    assert main(["gen", "--family", "random-edges", "--p-insert", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: p_insert") and captured.out == ""
+
+
 def test_cli_run_stdin(tmp_path, capsys, monkeypatch):
     import io
 

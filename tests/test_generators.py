@@ -196,3 +196,21 @@ def test_genspec_dispatch():
 def test_families_constant():
     assert "arbitrary-removal" in FAMILIES and "degree-biased" in FAMILIES
     assert len(FAMILIES) == 5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "field, value",
+    [("p_insert", 7.0), ("p_insert", -0.1), ("query_rate", 1.5), ("vertex_rate", -1.0),
+     ("vertex_rate", float("nan"))],
+)
+def test_genspec_rejects_probabilities_outside_unit_interval(family, field, value):
+    spec = GenSpec(family, m=64, delta=8, n=6, events=20, **{field: value})
+    with pytest.raises(GeneratorParameterError, match=field):
+        spec.generate()
+
+
+def test_genspec_accepts_unit_interval_ends():
+    for p in (0.0, 1.0):
+        spec = GenSpec("random-edges", n=6, events=20, p_insert=p, query_rate=p, vertex_rate=p)
+        assert len(spec.generate().events) == 20

@@ -1,6 +1,12 @@
 import random
+from collections import deque
+from typing import Iterable, Mapping
 
+import pytest
+
+from dynamis.generators import gen_random_edges, gen_random_flow
 from dynamis.oracles import (
+    OracleReport,
     exhaustive_max_matching,
     is_mis,
     min_cut_enumerate,
@@ -8,6 +14,7 @@ from dynamis.oracles import (
     static_max_matching,
     static_mis,
 )
+from dynamis.stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex
 
 
 def triangle():
@@ -99,3 +106,261 @@ def test_matching_matches_exhaustive_sampled():
                 adj[u].add(v)
                 adj[v].add(u)
         assert static_max_matching(adj) == exhaustive_max_matching(adj)
+
+
+# -- the oracles against their earlier versions ------------------------------
+#
+# The oracles run after every event under ``--verify``, so they are tuned:
+# residual maps in the max flow, a greedy seed in the blossom matching, and no
+# temporary sets in ``is_mis``.  The reference copies below are the untuned
+# versions, kept verbatim; the tuned ones must agree with them on every state
+# of seeded streams, and ``is_mis`` must give the same detail messages.
+
+
+def _reference_is_mis(adj, mis):
+    for v in mis:
+        if v not in adj:
+            return OracleReport(False, f"{v} is not a live vertex")
+        hit = adj[v] & mis
+        if hit:
+            return OracleReport(False, f"edge inside the set: ({v},{min(hit)})")
+    for v in adj:
+        if v not in mis and not (adj[v] & mis):
+            return OracleReport(False, f"vertex {v} outside the set has no neighbor in it")
+    return OracleReport(True)
+
+
+def _reference_static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
+    """Max-flow value by repeated augmenting BFS from scratch (unit capacities)."""
+    cap: dict[tuple[int, int], int] = {}
+    out: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        cap[(u, v)] = cap.get((u, v), 0) + 1
+        cap.setdefault((v, u), 0)
+        out[u].add(v)
+        out[v].add(u)
+    if s == t or s not in out or t not in out:
+        return 0
+    value = 0
+    while True:
+        prev: dict[int, int] = {s: s}
+        queue = deque([s])
+        while queue and t not in prev:
+            u = queue.popleft()
+            for v in out[u]:
+                if v not in prev and cap.get((u, v), 0) > 0:
+                    prev[v] = u
+                    queue.append(v)
+        if t not in prev:
+            return value
+        v = t
+        while v != s:
+            u = prev[v]
+            cap[(u, v)] -= 1
+            cap[(v, u)] += 1
+            v = u
+        value += 1
+
+
+def _reference_static_max_matching(adj: Mapping[int, set[int]]) -> int:
+    """Maximum matching cardinality via a static blossom-contraction search."""
+    ids = sorted(adj)
+    index = {v: i for i, v in enumerate(ids)}
+    n = len(ids)
+    nbrs = [sorted(index[w] for w in adj[v]) for v in ids]
+    match = [-1] * n
+
+    def lca(base: list[int], p: list[int], a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = p[match[b]]
+
+    def mark_path(base: list[int], p: list[int], blossom: list[bool], v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_path(root: int) -> bool:
+        used = [False] * n
+        p = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in nbrs[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur = lca(base, p, v, to)
+                    blossom = [False] * n
+                    mark_path(base, p, blossom, v, cur, to)
+                    mark_path(base, p, blossom, to, cur, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = cur
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        w = to
+                        while w != -1:
+                            pw = p[w]
+                            nxt = match[pw]
+                            match[w] = pw
+                            match[pw] = w
+                            w = nxt
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    size = 0
+    for v in range(n):
+        if match[v] == -1 and find_path(v):
+            size += 1
+    return size
+
+
+def _flow_states(stream):
+    """The arc set after every event of a flow stream."""
+    arcs = set()
+    for event in stream.events:
+        if isinstance(event, InsertEdge):
+            arcs.add((event.u, event.v))
+        else:
+            arcs.discard((event.u, event.v))
+        yield arcs
+
+
+def _graph_states(stream):
+    """The adjacency after every event of an undirected stream (queries skipped)."""
+    adj = {v: set() for v in range(stream.n)}
+    next_id = stream.n
+    for event in stream.events:
+        if isinstance(event, InsertEdge):
+            adj[event.u].add(event.v)
+            adj[event.v].add(event.u)
+        elif isinstance(event, DeleteEdge):
+            adj[event.u].discard(event.v)
+            adj[event.v].discard(event.u)
+        elif isinstance(event, InsertVertex):
+            adj[next_id] = set(event.neighbors)
+            for w in event.neighbors:
+                adj[w].add(next_id)
+            next_id += 1
+        elif isinstance(event, DeleteVertex):
+            for w in adj.pop(event.v):
+                adj[w].discard(event.v)
+        else:
+            continue
+        yield adj
+
+
+@pytest.mark.parametrize("p_insert", [0.7, 1.0], ids=["fully-dynamic", "insertion-only"])
+def test_flow_equals_reference_on_every_stream_state(p_insert):
+    events = states = anti_parallel = augmented = 0
+    for seed in range(12):
+        n = 6 + seed
+        stream = gen_random_flow(n, 120, seed, p_insert=p_insert)
+        events += len(stream.events)
+        s, t = stream.flow
+        for arcs in _flow_states(stream):
+            want = _reference_static_max_flow(range(n), sorted(arcs), s, t)
+            assert static_max_flow(range(n), arcs, s, t) == want
+            states += 1
+            anti_parallel += any((v, u) in arcs for u, v in arcs)
+            augmented += want > 0
+    assert states == events
+    # the streams reach states with anti-parallel pairs and with flow to carry
+    assert anti_parallel > states // 2 and augmented > states // 2
+
+
+@pytest.mark.parametrize("p_insert", [0.7, 1.0], ids=["fully-dynamic", "insertion-only"])
+def test_matching_equals_reference_on_every_stream_state(p_insert):
+    states = grown = shrunk = 0
+    for seed in range(12):
+        stream = gen_random_edges(8 + seed, 150, seed, p_insert=p_insert, vertex_rate=0.08)
+        grown += sum(isinstance(e, InsertVertex) for e in stream.events)
+        shrunk += sum(isinstance(e, DeleteVertex) for e in stream.events)
+        for adj in _graph_states(stream):
+            assert static_max_matching(adj) == _reference_static_max_matching(adj)
+            states += 1
+    assert states == 12 * 150
+    assert grown > 0 and shrunk > 0
+
+
+def test_matching_equals_reference_on_dense_graphs():
+    # dense random graphs leave few vertices free after the greedy seed and
+    # force blossoms in the searches that remain
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(2, 24)
+        p = rng.random()
+        adj = {v: set() for v in range(n)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        assert static_max_matching(adj) == _reference_static_max_matching(adj)
+
+
+def test_is_mis_details_equal_reference():
+    rng = random.Random(3)
+    verdicts = set()
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        adj = {v: set() for v in range(n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        members = {v for v in range(n + 1) if rng.random() < 0.4}
+        got, want = is_mis(adj, members), _reference_is_mis(adj, members)
+        assert (got.ok, got.detail) == (want.ok, want.detail)
+        verdicts.add(next((k for k in ("live", "inside", "outside") if k in got.detail), "ok"))
+    # all three failure kinds and the pass were exercised
+    assert verdicts == {"ok", "live", "inside", "outside"}
+
+
+CUT_CASES = {
+    # name: (vertices, arcs, s, t, max flow)
+    "anti-parallel": ([0, 1, 2, 3], [(0, 1), (1, 0), (1, 3), (3, 1), (0, 2), (2, 3), (3, 2)], 0, 3, 2),
+    "anti-parallel only": ([0, 1], [(0, 1), (1, 0)], 0, 1, 1),
+    "parallel arcs": ([0, 1, 2], [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2)], 0, 2, 2),
+    "backwards only": ([0, 1, 2], [(1, 0), (2, 1)], 0, 2, 0),
+    # the only shortest path 0-1-2-7 blocks both longer ones; the second unit
+    # must cancel the flow on 1->2 through its reverse arc
+    "needs a reverse arc": (
+        list(range(8)), [(0, 1), (1, 2), (2, 7), (1, 3), (3, 4), (4, 7), (0, 5), (5, 6), (6, 2)], 0, 7, 2,
+    ),
+    "isolated vertices": ([0, 1, 2, 3, 4, 5], [(0, 1), (1, 5), (0, 5)], 0, 5, 2),
+    "all isolated": ([0, 1, 2, 3], [], 0, 3, 0),
+    "s equals t": ([0, 1, 2], [(0, 1), (1, 2), (2, 0)], 1, 1, 0),
+    "s missing": ([1, 2, 3], [(1, 2), (2, 3)], 0, 3, 0),
+    "t missing": ([0, 1, 2], [(0, 1), (1, 2)], 0, 3, 0),
+}
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+def test_min_cut_enumerate_edge_cases(case):
+    vertices, arcs, s, t, value = CUT_CASES[case]
+    assert min_cut_enumerate(vertices, arcs, s, t) == value
+    assert static_max_flow(vertices, arcs, s, t) == value
+    assert _reference_static_max_flow(vertices, arcs, s, t) == value
