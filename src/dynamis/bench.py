@@ -3,9 +3,10 @@
 ``REGISTRY`` holds one row per algorithm: how to build it over a stream, what
 the stream must look like, which method answers In-MIS queries, how to check
 it, and what its result is.  Every algorithm takes events through
-``apply(event)``, so ``replay`` drives all of them the same way and is the
-only place a run report is built.  Compatibility is checked up front from the
-row: a mismatch raises before any event is applied.
+``apply(event)`` and audits itself with ``verify()``, so ``replay`` drives
+all of them the same way and is the only place a run report is built.
+Compatibility is checked up front from the row: a mismatch raises before any
+event is applied.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from typing import Any, Callable
 
 from .errors import IncompatibleStreamError, VerificationFailedError
 from .flow import FlowNetwork, IncrementalFlow
-from .generators import (
-    gen_arbitrary_removal,
-    gen_degree_biased,
-    gen_random_edges,
-    gen_random_flow,
-)
+from .generators import FAMILIES, GenSpec
 from .graph import DynGraph
 from .matching import DynamicMatching, IncrementalMatching
 from .mis import ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
@@ -36,15 +32,15 @@ from .stream import DeleteEdge, DeleteVertex, InsertVertex, QueryInMis, UpdateSt
 class Algorithm:
     """One registry row.
 
-    ``--verify`` calls the ``audit`` method and then, for modules whose
-    audit does not consult an oracle itself, ``oracle(alg, graph(alg))``,
-    which returns a failure detail or None.  ``graph(alg)`` is also the
-    structure whose ``n`` and ``m`` the report gives.
+    ``--verify`` calls the algorithm's ``verify()`` audit and then, for
+    modules whose audit does not consult an oracle itself,
+    ``oracle(alg, graph(alg))``, which returns a failure detail or None.
+    ``graph(alg)`` is also the structure whose ``n`` and ``m`` the report
+    gives.
     """
 
     build: Callable[[UpdateStream], Any]
     result: tuple[str, Callable[[Any], int]]
-    audit: str = "verify"
     oracle: Callable[[Any, Any], str | None] | None = None
     graph: Callable[[Any], Any] = attrgetter("g")
     query: str | None = None  # method answering In-MIS queries
@@ -97,7 +93,7 @@ REGISTRY: dict[str, Algorithm] = {
     ),
     "mis-implicit": Algorithm(
         _on_graph(ImplicitMis), ("independent_set_size", lambda alg: len(alg.independent_set())),
-        audit="audit", query="in_mis_query", isolated_vertices=True,
+        query="in_mis_query", isolated_vertices=True,
     ),
     "flow-fd": Algorithm(
         _on_network(FlowNetwork), _FLOW_VALUE, oracle=_flow_oracle, graph=lambda net: net,
@@ -157,7 +153,7 @@ def replay(
     query_results: list[list[int]] = []
 
     def check(event_index: int) -> None:
-        if not getattr(alg, row.audit)():
+        if not alg.verify():
             raise VerificationFailedError(event_index, "internal audit failed")
         detail = row.oracle(alg, row.graph(alg)) if row.oracle else None
         if detail is not None:
@@ -198,17 +194,11 @@ def replay(
 
 
 def stream_for_size(family: str, m: int, seed: int = 0) -> UpdateStream:
-    if family == "arbitrary-removal":
-        return gen_arbitrary_removal(m, _ceil_sqrt(m))
-    if family == "degree-biased":
-        return gen_degree_biased(m)
-    if family in ("random-edges", "random-matching"):
-        n = max(16, 2 * isqrt(m))
-        return gen_random_edges(n, m, seed, p_insert=1.0)
-    if family == "random-flow":
-        n = max(16, 2 * isqrt(m))
-        return gen_random_flow(n, m, seed, p_insert=1.0)
-    raise IncompatibleStreamError(f"unknown family {family!r}")
+    """An insertion-only stream of the family with an edge budget of ``m``."""
+    if family not in FAMILIES:
+        raise IncompatibleStreamError(f"unknown family {family!r}")
+    n = max(16, 2 * isqrt(m))
+    return GenSpec(family, m=m, delta=_ceil_sqrt(m), n=n, events=m, seed=seed, p_insert=1.0).generate()
 
 
 def fit_slope(sizes: list[int], totals: list[int]) -> float:

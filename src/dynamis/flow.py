@@ -27,8 +27,10 @@ everything still reachable is found, and vertices outside the cut keep their
 tree paths.
 
 Within one stage (between augmentations) insertion-only tree work is linear
-in the edge count.  ``IncrementalFlow`` is the same structure with deletions
-rejected.
+in the edge count.  ``stage_touches`` records the metered work of each
+stage, as the difference of the meter's total at its two ends, and
+``current_stage_touches()`` that of the open one.  ``IncrementalFlow`` is the
+same structure with deletions rejected.
 
 The residual graph is kept as adjacency sets, ``res_out[u]`` and
 ``res_in[v]``, beside the flow flags in ``flow``: an edge gives its arc
@@ -82,7 +84,7 @@ class FlowNetwork:
         self.parent: dict[int, int] = {}
         self.in_tree: set[int] = {s}
         self.stage_touches: list[int] = []
-        self._stage_touched = 0
+        self._stage_start = 0
 
     # -- structure -------------------------------------------------------
 
@@ -111,7 +113,7 @@ class FlowNetwork:
         return sorted(self.res_out[u])
 
     def current_stage_touches(self) -> int:
-        return self._stage_touched
+        return self.meter.edges_touched - self._stage_start
 
     # -- updates ---------------------------------------------------------
 
@@ -136,7 +138,7 @@ class FlowNetwork:
         self._add_edge(u, v)
         self.meter.begin_op()
         self.meter.updates += 1
-        self._touch(1)
+        self.meter.touch(1)
         delta = FlowDelta(0)
         if u in self.in_tree and v not in self.in_tree:
             self.parent[v] = u
@@ -147,8 +149,8 @@ class FlowNetwork:
                 self._push(path)
                 self.F += 1
                 delta = FlowDelta(1, path)
-                self.stage_touches.append(self._stage_touched)
-                self._stage_touched = 0
+                self.stage_touches.append(self.meter.edges_touched - self._stage_start)
+                self._stage_start = self.meter.edges_touched
                 self._rebuild_tree()
         self.meter.end_op()
         return delta
@@ -257,10 +259,6 @@ class FlowNetwork:
         if v not in self.res_out:
             raise UnknownVertexError(f"vertex {v} is not live")
 
-    def _touch(self, count: int) -> None:
-        self.meter.touch(count)
-        self._stage_touched += count
-
     def _explore(self, frontier: list[int]) -> None:
         res_out, parent, in_tree, t = self.res_out, self.parent, self.in_tree, self.t
         while frontier:
@@ -268,7 +266,7 @@ class FlowNetwork:
             if t in in_tree:
                 return
             targets = res_out[w]
-            self._touch(len(targets))
+            self.meter.touch(len(targets))
             for x in targets:
                 if x not in in_tree:
                     parent[x] = w
@@ -301,7 +299,7 @@ class FlowNetwork:
             if aux_st and u == s and t not in targets:
                 targets = [*targets, t]
             if metered:
-                self._touch(len(targets))
+                self.meter.touch(len(targets))
             for v in targets:
                 if v not in prev:
                     prev[v] = u
@@ -364,7 +362,7 @@ class FlowNetwork:
                     parent[x] = w
                     in_tree.add(x)
                     break
-            self._touch(scanned)
+            self.meter.touch(scanned)
             if x in in_tree:
                 self._explore([x])
 
@@ -391,10 +389,6 @@ class IncrementalFlow(FlowNetwork):
     # bound here as well, so each class's own namespace names its public calls
     insert_edge = FlowNetwork.insert_edge
     verify = FlowNetwork.verify
-
-    @property
-    def net(self) -> IncrementalFlow:
-        return self
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
         raise NotIncrementalError("incremental flow rejects deletions")

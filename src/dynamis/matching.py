@@ -1,6 +1,6 @@
 """Maximum cardinality matching under updates, on one alternating forest.
 
-Both matching classes keep a maximum matching together with a multi-root
+``DynamicMatching`` keeps a maximum matching together with a multi-root
 alternating forest over it: Edmonds' search grown from every free vertex at
 once, with blossoms contracted through a disjoint-set union over their bases
 (Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan 1985).  Once the
@@ -22,7 +22,11 @@ stale; it is rebuilt from the free vertices at the next insertion that needs
 it.
 
 The single-source search runs on the live adjacency sets and ``mate`` dict
-and meters every adjacency scan it makes.
+and meters every adjacency scan it makes.  A stage is the span of updates
+that ends when the matching grows; ``stage_touches`` records the metered work
+of each one, as the difference of the meter's total at its two ends.
+
+``IncrementalMatching`` is the same structure with deletions rejected.
 """
 
 from __future__ import annotations
@@ -130,8 +134,8 @@ def _single_source_augment(
     return None
 
 
-class _ForestMatching:
-    """A maximum matching and a lazily rebuilt alternating forest over it.
+class DynamicMatching:
+    """Fully dynamic maximum matching: forest on insertions, search on deletions.
 
     Forest state, valid while ``_stale`` is false: ``label`` is EVEN or ODD
     for vertices in a tree, ``root`` names their tree, ``parent`` links an
@@ -150,6 +154,11 @@ class _ForestMatching:
         self.dsu: dict[int, int] = {}
         self._queue: deque[int] = deque()
         self._stale = True
+        for v in sorted(g.vertices()):
+            if v not in self.mate:
+                _single_source_augment(g, self.mate, v, self.meter)
+        self.stage_touches: list[int] = []
+        self._stage_start = self.meter.edges_touched
 
     @property
     def cardinality(self) -> int:
@@ -163,6 +172,49 @@ class _ForestMatching:
             if self.mate.get(y) != x or not self.g.has_edge(x, y):
                 return False
         return self.cardinality == static_max_matching(self.g.adj)
+
+    def apply(self, event: UpdateEvent) -> MatchDelta:
+        """Apply one update; the operation is metered only once the graph accepts it."""
+        if isinstance(event, QueryInMis):
+            raise IncompatibleStreamError("queries are not matching updates")
+        before = self.cardinality
+        flipped: list[tuple[int, int]] = []
+        if isinstance(event, InsertEdge):
+            self.g.insert_edge(event.u, event.v)
+            self.meter.begin_op()
+            flipped = self._absorb_edge(event.u, event.v)
+        elif isinstance(event, InsertVertex):
+            v = self.g.insert_vertex(event.neighbors)
+            self.meter.begin_op()
+            self._stale = True
+            if event.neighbors:  # an isolated vertex has no augmenting path
+                flipped = self.augment_from(v) or []
+        elif isinstance(event, DeleteEdge):
+            x, y = event.u, event.v
+            self.g.delete_edge(x, y)
+            self.meter.begin_op()
+            self._stale = True
+            if self.mate.get(x) == y:
+                del self.mate[x]
+                del self.mate[y]
+                # a path ending at neither x nor y would have augmented before
+                flipped = self.augment_from(x) or self.augment_from(y) or []
+        else:
+            x = event.v
+            self.g.delete_vertex(x)
+            self.meter.begin_op()
+            self._stale = True
+            y = self.mate.pop(x, None)
+            if y is not None:
+                del self.mate[y]
+                flipped = self.augment_from(y) or []
+        self.meter.updates += 1
+        delta = MatchDelta(self.cardinality - before, flipped)
+        if delta.delta > 0:
+            self.stage_touches.append(self.meter.edges_touched - self._stage_start)
+            self._stage_start = self.meter.edges_touched
+        self.meter.end_op()
+        return delta
 
     def _absorb_edge(self, u: int, v: int) -> list[tuple[int, int]]:
         """Restore maximality after inserting edge (u,v); returns the new pairs."""
@@ -282,69 +334,14 @@ class _ForestMatching:
             self.dsu[b] = lca
 
 
-class DynamicMatching(_ForestMatching):
-    """Fully dynamic maximum matching: forest on insertions, search on deletions."""
+class IncrementalMatching(DynamicMatching):
+    """Insertion-only maximum matching: the same forest, with deletions rejected."""
 
-    # bound in the class body, so instrumenting this class's own methods
-    # reaches them
-    augment_from = _ForestMatching.augment_from
-    verify = _ForestMatching.verify
-
-    def __init__(self, g: DynGraph):
-        super().__init__(g)
-        for v in sorted(g.vertices()):
-            if v not in self.mate:
-                _single_source_augment(g, self.mate, v, self.meter)
-
-    def apply(self, event: UpdateEvent) -> MatchDelta:
-        if isinstance(event, QueryInMis):
-            raise IncompatibleStreamError("queries are not matching updates")
-        self.meter.begin_op()
-        before = self.cardinality
-        flipped: list[tuple[int, int]] = []
-        if isinstance(event, InsertEdge):
-            self.g.insert_edge(event.u, event.v)
-            flipped = self._absorb_edge(event.u, event.v)
-        elif isinstance(event, InsertVertex):
-            v = self.g.insert_vertex(event.neighbors)
-            self._stale = True
-            flipped = self.augment_from(v) or []
-        elif isinstance(event, DeleteEdge):
-            x, y = event.u, event.v
-            self.g.delete_edge(x, y)
-            self._stale = True
-            if self.mate.get(x) == y:
-                del self.mate[x]
-                del self.mate[y]
-                # a path ending at neither x nor y would have augmented before
-                flipped = self.augment_from(x) or self.augment_from(y) or []
-        else:
-            x = event.v
-            y = self.mate.pop(x, None)
-            self.g.delete_vertex(x)
-            self._stale = True
-            if y is not None:
-                del self.mate[y]
-                flipped = self.augment_from(y) or []
-        self.meter.updates += 1
-        delta = MatchDelta(self.cardinality - before, flipped)
-        self.meter.end_op()
-        return delta
-
-
-class IncrementalMatching(_ForestMatching):
-    """Insertion-only maximum matching: the forest core with deletions rejected.
-
-    ``stage_touches`` holds the metered work of each stage, the span of
-    insertions that ends with an augmentation.
-    """
-
-    verify = _ForestMatching.verify
+    # bound here as well, so each class's own namespace names its public calls
+    verify = DynamicMatching.verify
 
     def __init__(self):
         super().__init__(DynGraph())
-        self.stage_touches: list[int] = []
-        self._stage_start = 0
 
     def insert_vertex(self) -> int:
         v = self.g.insert_vertex(())
@@ -352,25 +349,8 @@ class IncrementalMatching(_ForestMatching):
         return v
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
-        if isinstance(event, InsertVertex):
-            if event.neighbors:
-                raise NotIncrementalError("only isolated vertex insertions are accepted")
-            self.meter.updates += 1
-            self.insert_vertex()
-            return MatchDelta(0)
-        if not isinstance(event, InsertEdge):
+        if isinstance(event, InsertVertex) and event.neighbors:
+            raise NotIncrementalError("only isolated vertex insertions are accepted")
+        if not isinstance(event, (InsertEdge, InsertVertex)):
             raise NotIncrementalError(f"event {event!r} in incremental mode")
-        return self.feed(event.u, event.v)
-
-    def feed(self, u: int, v: int) -> MatchDelta:
-        """Insert edge (u,v) and absorb it into the alternating forest."""
-        self.g.insert_edge(u, v)
-        self.meter.begin_op()
-        self.meter.updates += 1
-        before = self.cardinality
-        flipped = self._absorb_edge(u, v)
-        if flipped:
-            self.stage_touches.append(self.meter.edges_touched - self._stage_start)
-            self._stage_start = self.meter.edges_touched
-        self.meter.end_op()
-        return MatchDelta(self.cardinality - before, flipped)
+        return DynamicMatching.apply(self, event)

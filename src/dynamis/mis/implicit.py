@@ -90,7 +90,7 @@ class ImplicitMis:
         self.meter.end_op()
         return result
 
-    def audit(self) -> bool:
+    def verify(self) -> bool:
         """Full-rescan check of independence, tracking and count invariants."""
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):

@@ -24,6 +24,3 @@ class IncrementalMis(SimpleMis):
         if not isinstance(event, (InsertEdge, InsertVertex)):
             raise NotIncrementalError(f"{event!r} is not an insertion; incremental mode takes insertions only")
         return super().apply(event)
-
-    def total_work(self) -> int:
-        return self.meter.edges_touched

@@ -22,7 +22,6 @@ from ..stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryIn
 
 class RemovalPolicy(Enum):
     FIRST_ENDPOINT = "first-endpoint"
-    HIGHER_ID = "higher-id"
     LOWER_DEGREE = "lower-degree"
 
 
@@ -144,8 +143,6 @@ class SimpleMis:
     def _pick_victim(self, u: int, v: int) -> int:
         if self.policy is RemovalPolicy.FIRST_ENDPOINT:
             return u
-        if self.policy is RemovalPolicy.HIGHER_ID:
-            return max(u, v)
         du, dv = len(self.g.adj[u]), len(self.g.adj[v])
         if du != dv:
             return u if du < dv else v

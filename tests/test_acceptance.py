@@ -246,7 +246,6 @@ def test_criterion_08_flow_optimality(capsys):
         incremental = seed % 2 == 0
         stream = gen_random_flow(n, 60, seed, p_insert=1.0 if incremental else 0.65)
         alg = (IncrementalFlow if incremental else FlowNetwork)(n, 0, n - 1)
-        net = alg.net if incremental else alg
         arcs = set()
         reason = None
         for event in stream.events:
@@ -256,14 +255,14 @@ def test_criterion_08_flow_optimality(capsys):
             else:
                 alg.delete_edge(event.u, event.v)
                 arcs.discard((event.u, event.v))
-            if net.F != static_max_flow(range(n), arcs, 0, n - 1):
+            if alg.F != static_max_flow(range(n), arcs, 0, n - 1):
                 reason = "flow value off oracle"
                 break
             if not alg.verify():
                 reason = "flow audit failed"
                 break
         if reason is None and incremental:
-            if any(stage > 8 * max(net.m, 1) for stage in alg.stage_touches):
+            if any(stage > 8 * max(alg.m, 1) for stage in alg.stage_touches):
                 reason = "stage work over 8*m"
         if reason:
             failures.append((seed, reason))
@@ -290,7 +289,7 @@ def test_criterion_09_matching_optimality(capsys):
             inc.insert_vertex()
         for u, v in edges:
             fd.apply(InsertEdge(u, v))
-            inc.feed(u, v)
+            inc.apply(InsertEdge(u, v))
             if not fd.verify() or not inc.verify():
                 failures.append(("fixture", n))
                 break
@@ -316,7 +315,7 @@ def test_criterion_09_matching_optimality(capsys):
                     alg.apply(event)
                 continue
             if incremental:
-                alg.feed(event.u, event.v)
+                alg.apply(InsertEdge(event.u, event.v))
             else:
                 alg.apply(event)
             if isinstance(event, InsertEdge):

@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from math import isqrt
 
 import pytest
 
@@ -7,7 +8,14 @@ from dynamis import UpdateStream, parse_stream, serialize_stream
 from dynamis.bench import ALGORITHMS, REGISTRY, check_compatible, replay, scaling, stream_for_size
 from dynamis.cli import main
 from dynamis.errors import IncompatibleStreamError
-from dynamis.generators import gen_random_edges, gen_random_flow
+from dynamis.generators import (
+    FAMILIES,
+    gen_arbitrary_removal,
+    gen_degree_biased,
+    gen_random_edges,
+    gen_random_flow,
+)
+from dynamis.mis.implicit import _ceil_sqrt
 from dynamis.stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis
 
 
@@ -134,6 +142,29 @@ def test_stream_for_size_families():
     assert not any(isinstance(e, (DeleteEdge, DeleteVertex)) for e in stream_for_size("random-edges", 100).events)
     with pytest.raises(IncompatibleStreamError):
         stream_for_size("no-such-family", 100)
+
+
+def _reference_stream_for_size(family, m, seed=0):
+    # the family dispatch stream_for_size kept before it built a GenSpec
+    if family == "arbitrary-removal":
+        return gen_arbitrary_removal(m, _ceil_sqrt(m))
+    if family == "degree-biased":
+        return gen_degree_biased(m)
+    if family in ("random-edges", "random-matching"):
+        n = max(16, 2 * isqrt(m))
+        return gen_random_edges(n, m, seed, p_insert=1.0)
+    if family == "random-flow":
+        n = max(16, 2 * isqrt(m))
+        return gen_random_flow(n, m, seed, p_insert=1.0)
+    raise IncompatibleStreamError(f"unknown family {family!r}")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("m", [64, 256, 4096])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stream_for_size_matches_reference(family, m, seed):
+    want = serialize_stream(_reference_stream_for_size(family, m, seed))
+    assert serialize_stream(stream_for_size(family, m, seed)) == want
 
 
 def test_scaling_report_shape():

@@ -196,9 +196,9 @@ def test_incremental_stage_work_linear():
             continue
         arcs.add((u, v))
         inc.insert_edge(u, v)
-        assert inc.current_stage_touches() <= 8 * max(inc.net.m, 1)
+        assert inc.current_stage_touches() <= 8 * max(inc.m, 1)
     for stage in inc.stage_touches:
-        assert stage <= 8 * max(inc.net.m, 1)
+        assert stage <= 8 * max(inc.m, 1)
 
 
 @pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
@@ -237,11 +237,6 @@ def test_insert_off_the_tree_touches_one(cls):
     net.insert_edge(1, 0)  # both ends already in the tree
     assert net.meter.op_edges_touched == 1
     assert net.in_tree == {0, 1} and net.verify()
-
-
-def test_incremental_net_is_the_structure():
-    inc = IncrementalFlow(3, 0, 2)
-    assert inc.net is inc
 
 
 def test_delete_empty_tree_arc_rehangs_subtree():

@@ -192,7 +192,7 @@ def test_odd_cycle_fixtures_incremental(n, edges):
     for _ in range(n):
         inc.insert_vertex()
     for u, v in edges:
-        inc.feed(u, v)
+        inc.apply(InsertEdge(u, v))
         assert inc.verify()
     assert inc.cardinality == exhaustive_max_matching(inc.g.adj)
 
@@ -201,7 +201,7 @@ def test_incremental_first_edge():
     inc = IncrementalMatching()
     inc.insert_vertex()
     inc.insert_vertex()
-    delta = inc.feed(0, 1)
+    delta = inc.apply(InsertEdge(0, 1))
     assert delta.delta == 1
     assert inc.mate == {0: 1, 1: 0}
 
@@ -211,7 +211,7 @@ def test_incremental_five_cycle_in_order():
     for _ in range(5):
         inc.insert_vertex()
     for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
-        inc.feed(u, v)
+        inc.apply(InsertEdge(u, v))
     assert inc.cardinality == 2
     assert inc.verify()
 
@@ -220,7 +220,7 @@ def test_incremental_rejects_non_insertions():
     inc = IncrementalMatching()
     inc.insert_vertex()
     inc.insert_vertex()
-    inc.feed(0, 1)
+    inc.apply(InsertEdge(0, 1))
     with pytest.raises(NotIncrementalError):
         inc.apply(DeleteEdge(0, 1))
     with pytest.raises(NotIncrementalError):
@@ -251,7 +251,7 @@ def test_incremental_random_matches_oracle(seed):
         inc.insert_vertex()
     adj = {v: set() for v in range(n)}
     for u, v in _random_graph(rng, n, 50):
-        inc.feed(u, v)
+        inc.apply(InsertEdge(u, v))
         adj[u].add(v)
         adj[v].add(u)
         assert inc.cardinality == static_max_matching(adj)
@@ -284,12 +284,31 @@ def test_incremental_stage_work_bound():
     for _ in range(n):
         inc.insert_vertex()
     for u, v in _random_graph(rng, n, 60):
-        inc.feed(u, v)
+        inc.apply(InsertEdge(u, v))
     m = inc.g.m
     total = inc.meter.edges_touched
     assert total <= 8 * m * (inc.cardinality + 1)
     for stage in inc.stage_touches:
         assert stage <= 8 * m
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_incremental_equals_dynamic_on_insertions(seed):
+    # small vertex budgets saturate the clique, so the streams also grow by
+    # isolated vertices
+    n = 4 + seed % 6
+    stream = gen_random_edges(n, 40, seed, p_insert=1.0)
+    assert any(isinstance(e, InsertVertex) for e in stream.events)
+    inc = IncrementalMatching()
+    for _ in range(n):
+        inc.insert_vertex()
+    fd = DynamicMatching(DynGraph(n))
+    for event in stream.events:
+        assert inc.apply(event) == fd.apply(event), event
+    assert inc.mate == fd.mate
+    assert inc.meter.totals() == fd.meter.totals()
+    assert inc.meter.max_op_edges_touched == fd.meter.max_op_edges_touched
+    assert inc.stage_touches == fd.stage_touches
 
 
 # -- forest core: differential and meter checks ------------------------------

@@ -30,7 +30,7 @@ def test_insert_inside_set_removes_one():
     log = alg.apply(InsertEdge(1, 3))
     assert log.removed == [3]  # higher id leaves
     assert alg.in_S == {0, 1, 2}
-    assert alg.audit()
+    assert alg.verify()
 
 
 def test_insert_with_endpoint_outside_set():
@@ -42,7 +42,7 @@ def test_insert_with_endpoint_outside_set():
     assert alg.in_S == {0, 1, 2}
     # with m_c under the floor everything is tracked, so 3's count is exact
     assert alg.hcount[3] == 2
-    assert alg.audit()
+    assert alg.verify()
 
 
 def test_epoch_doubling_fires_once():
@@ -53,7 +53,7 @@ def test_epoch_doubling_fires_once():
     for i in range(70, 70 + (2 * m_c - g.m)):
         alg.apply(InsertEdge(2 * i, 2 * i + 1))
     assert alg.m_c == 2 * m_c
-    assert alg.audit()
+    assert alg.verify()
 
 
 def test_query_isolated_joins():
@@ -76,7 +76,7 @@ def test_query_tracked_updates_neighbor_counts():
     assert alg.in_mis_query(0)
     for w in g.adj[0] & alg.tracked:
         assert alg.hcount[w] >= 1
-    assert alg.audit()
+    assert alg.verify()
 
 
 def test_queries_stable_within_batch():
@@ -107,21 +107,21 @@ def test_isolated_vertex_events_supported():
     assert alg.in_mis_query(2)
     log = alg.apply(DeleteVertex(2))
     assert log.removed == [2]
-    assert alg.audit()
+    assert alg.verify()
 
 
 def test_audit_catches_stale_count():
     g = build(40, [(0, w) for w in range(1, 31)])
     alg = ImplicitMis(g)
-    assert alg.audit()
+    assert alg.verify()
     alg.hcount[0] += 1
-    assert not alg.audit()
+    assert not alg.verify()
 
 
 def test_audit_catches_dependent_pair():
     alg = ImplicitMis(build(2, [(0, 1)]))
     alg.in_S = {0, 1}
-    assert not alg.audit()
+    assert not alg.verify()
 
 
 def _edge_events(rng, g, queries=0.25):
@@ -153,7 +153,7 @@ def test_random_streams_audit_and_sweep(seed):
         elif kind == "event":
             log = alg.apply(payload)
             assert len(log.removed) <= 1
-        assert alg.audit()
+        assert alg.verify()
     s = sweep(alg)
     assert is_mis(g.adj, s).ok
 
@@ -169,12 +169,12 @@ def test_epoch_transitions_under_growth_and_shrink(seed):
     chosen = pairs[: EAGER_FLOOR + 80]
     for u, v in chosen:
         alg.apply(InsertEdge(u, v))
-        assert alg.audit()
+        assert alg.verify()
     assert not alg.eager
     rng.shuffle(chosen)
     for u, v in chosen:
         alg.apply(DeleteEdge(u, v))
-        assert alg.audit()
+        assert alg.verify()
     assert alg.m_c == 1
 
 
@@ -183,4 +183,4 @@ def test_missing_edge_delete_leaves_counts_intact():
     assert alg.in_mis_query(0)
     with pytest.raises(MissingEdgeError):
         alg.apply(DeleteEdge(0, 1))
-    assert alg.audit()
+    assert alg.verify()

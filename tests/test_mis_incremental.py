@@ -71,16 +71,16 @@ def test_isolated_vertex_insert_accepted():
 
 def test_total_work_starts_zero():
     alg = IncrementalMis(DynGraph(4))
-    assert alg.total_work() == 0
+    assert alg.meter.edges_touched == 0
 
 
 def test_admission_free_insertion_is_cheap():
     g = DynGraph(3)
     alg = IncrementalMis(g)
     alg.apply(InsertEdge(0, 1))
-    before = alg.total_work()
+    before = alg.meter.edges_touched
     alg.apply(InsertEdge(1, 2))  # 1 is out, 2 stays in: count bump only
-    assert alg.total_work() - before <= 2
+    assert alg.meter.edges_touched - before <= 2
 
 
 def test_degree_biased_stream_work_window():
@@ -90,7 +90,7 @@ def test_degree_biased_stream_work_window():
     alg = IncrementalMis(g)
     for e in stream.events:
         alg.apply(e)
-    total = alg.total_work()
+    total = alg.meter.edges_touched
     assert m ** 1.5 / 64 <= total <= 30 * m ** 1.5
 
 
@@ -120,5 +120,5 @@ def test_sqrt_m_work_bound(seed):
     m = 120
     for u, v in pairs[:m]:
         alg.apply(InsertEdge(u, v))
-    assert alg.total_work() <= 30 * m * m ** 0.5
-    assert alg.total_work() <= 30 * m * g.max_degree()
+    assert alg.meter.edges_touched <= 30 * m * m ** 0.5
+    assert alg.meter.edges_touched <= 30 * m * g.max_degree()

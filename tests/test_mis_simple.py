@@ -38,14 +38,6 @@ def test_init_empty_graph():
     assert alg.mis() == set(range(5))
 
 
-def test_insert_between_members_higher_id():
-    alg = SimpleMis(build(3, [(0, 1), (1, 2)]), policy=RemovalPolicy.HIGHER_ID)
-    log = alg.apply(InsertEdge(0, 2))
-    assert log.removed == [2]
-    assert alg.mis() == {0}
-    assert alg.verify()
-
-
 def test_insert_between_members_first_endpoint():
     alg = SimpleMis(build(3, [(0, 1), (1, 2)]))
     log = alg.apply(InsertEdge(0, 2))

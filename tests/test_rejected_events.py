@@ -61,12 +61,11 @@ def test_rejected_event_is_not_counted(name):
     alg.apply(InsertEdge(1, 2))
     if isinstance(alg, ImplicitMis):
         alg.in_mis_query(0)
-    audit = getattr(alg, "audit", None) or alg.verify
     for event in REJECTED:
         with pytest.raises(DynamisError):
             alg.apply(event)
         assert alg.meter.updates == 2, event
-        assert audit(), event
+        assert alg.verify(), event
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -80,4 +79,22 @@ def test_rejected_query_leaves_state_unchanged(name):
     with pytest.raises((IncompatibleStreamError, NotIncrementalError)):
         alg.apply(QueryInMis(0))
     assert alg.meter.updates == 2
+    assert pickle.dumps(alg) == before
+
+
+# The MIS classes reset the meter's per-operation counters before they
+# validate an event, so this does not hold for them yet.
+AUGMENTING = ("FlowNetwork", "IncrementalFlow", "DynamicMatching", "IncrementalMatching")
+
+
+@pytest.mark.parametrize("event", REJECTED)
+@pytest.mark.parametrize("name", AUGMENTING)
+def test_rejected_event_leaves_state_unchanged(name, event):
+    alg = BUILDERS[name]()
+    alg.apply(InsertEdge(0, 1))
+    alg.apply(InsertEdge(1, 2))
+    assert alg.meter.op_edges_touched > 0
+    before = pickle.dumps(alg)
+    with pytest.raises(DynamisError):
+        alg.apply(event)
     assert pickle.dumps(alg) == before
