@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .bench import ALGORITHMS, replay, scaling
 from .errors import DynamisError, GeneratorParameterError, VerificationFailedError
@@ -18,7 +19,9 @@ from .generators import FAMILIES, GenSpec
 from .stream import parse_stream, serialize_stream
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dynamis`` parser, built once per process: ``main`` may run many times in one."""
     parser = argparse.ArgumentParser(prog="dynamis", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,8 +118,7 @@ def _emit(report: dict, path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

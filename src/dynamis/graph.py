@@ -18,6 +18,8 @@ class DynGraph:
 
     Vertex ids are dense non-negative integers; deleted ids are retired and
     never reused within one run, so replaying a stream is deterministic.
+    Algorithms may therefore keep per-vertex state in lists of length
+    ``id_bound``, indexed by id.
     """
 
     def __init__(self, n: int = 0):
@@ -30,6 +32,11 @@ class DynGraph:
     @property
     def n(self) -> int:
         return len(self.adj)
+
+    @property
+    def id_bound(self) -> int:
+        """One past the largest id issued so far; every live id is below it."""
+        return self._next_id
 
     def is_live(self, v: int) -> bool:
         return v in self.adj

@@ -63,12 +63,15 @@ class ImplicitMis:
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries go through in_mis_query")
-        self.meter.begin_op()
+        # each handler begins the operation once the graph accepts the event,
+        # so a rejected event leaves the meter as it was
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
         elif isinstance(event, DeleteEdge):
-            self._delete_edge(event.u, event.v, log)
+            self.g.delete_edge(event.u, event.v)
+            self.meter.begin_op()
+            self._drop_edge(event.u, event.v)
         elif isinstance(event, InsertVertex):
             if event.neighbors:
                 raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
@@ -119,6 +122,7 @@ class ImplicitMis:
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
+        self.meter.begin_op()
         if u in self.tracked:
             self.heavy_adj[v].add(u)
         if v in self.tracked:
@@ -139,8 +143,8 @@ class ImplicitMis:
         if u in self.in_S and v in self.in_S:
             self._leave_S(max(u, v), log)
 
-    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
-        self.g.delete_edge(u, v)
+    def _drop_edge(self, u: int, v: int) -> None:
+        """Bookkeeping for the edge (u, v), just deleted from the graph."""
         if u in self.in_S and v in self.tracked:
             self.hcount[v] -= 1
             self.meter.touch()
@@ -154,6 +158,7 @@ class ImplicitMis:
 
     def _insert_isolated(self) -> int:
         v = self.g.insert_vertex(())
+        self.meter.begin_op()
         self.heavy_adj[v] = set()
         if self.eager:
             self._promote(v)
@@ -161,10 +166,12 @@ class ImplicitMis:
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
+        self.meter.begin_op()
         if v in self.in_S:
             self._leave_S(v, log)
         for w in sorted(self.g.adj[v]):
-            self._delete_edge(v, w, log)
+            self.g.delete_edge(v, w)
+            self._drop_edge(v, w)
         if v in self.tracked:
             self.tracked.discard(v)
             del self.hcount[v]

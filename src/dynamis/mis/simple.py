@@ -6,6 +6,10 @@ insertion joining two members, one endpoint is evicted according to the
 configured removal policy and the freed neighbors are re-admitted in
 ascending id order.  The meter additionally tracks the potential
 sum-of-degrees-outside-M used by the amortized accounting.
+
+The counts live in a list indexed by vertex id, of length ``g.id_bound``:
+ids are dense and never reused, so a vertex insertion appends its count and
+a deletion zeroes its slot.  Dead ids hold 0 and are never read.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class SimpleMis:
         self.policy = policy
         self.meter = CostMeter()
         self.in_M: set[int] = set()
-        self.count: dict[int, int] = {v: 0 for v in g.vertices()}
+        self.count: list[int] = [0] * g.id_bound
         for v in sorted(g.vertices()):
             if self.count[v] == 0:
                 self.in_M.add(v)
@@ -51,7 +55,8 @@ class SimpleMis:
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries are not updates; read membership directly")
-        self.meter.begin_op()
+        # each handler begins the operation once the graph accepts the event,
+        # so a rejected event leaves the meter as it was
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
@@ -68,6 +73,8 @@ class SimpleMis:
 
     def verify(self) -> bool:
         """Full-rescan audit: independence, maximality, counts, potential."""
+        if len(self.count) != self.g.id_bound:
+            return False
         for v in self.g.vertices():
             if self.count[v] != len(self.g.adj[v] & self.in_M):
                 return False
@@ -82,6 +89,7 @@ class SimpleMis:
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
+        self.meter.begin_op()
         if u not in self.in_M:
             self.meter.potential += 1
         if v not in self.in_M:
@@ -97,6 +105,7 @@ class SimpleMis:
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
+        self.meter.begin_op()
         if u not in self.in_M:
             self.meter.potential -= 1
         if v not in self.in_M:
@@ -112,29 +121,33 @@ class SimpleMis:
 
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> int:
         v = self.g.insert_vertex(neighbors)
-        self.count[v] = sum(1 for w in neighbors if w in self.in_M)
+        self.meter.begin_op()
+        inside = sum(1 for w in neighbors if w in self.in_M)
+        self.count.append(inside)
         self.meter.touch(len(neighbors))
         self.meter.potential += len(neighbors)
         self.meter.potential += sum(1 for w in neighbors if w not in self.in_M)
-        if self.count[v] == 0:
+        if inside == 0:
             self._enter(v, log)
         return v
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
+        self.meter.begin_op()
         was_member = v in self.in_M
         nbrs = sorted(self.g.adj[v])
         if not was_member:
             self.meter.potential -= len(nbrs)
         self.meter.potential -= sum(1 for w in nbrs if w not in self.in_M)
         self.g.delete_vertex(v)
-        del self.count[v]
+        count = self.count
+        count[v] = 0
         if was_member:
             self.in_M.discard(v)
             self.meter.adjust()
             log.leave(v)
             for w in nbrs:
-                self.count[w] -= 1
+                count[w] -= 1
             self.meter.touch(len(nbrs))
             self._admit_zeros(nbrs, log)
 
@@ -152,19 +165,21 @@ class SimpleMis:
         self.in_M.discard(v)
         self.meter.adjust()
         log.leave(v)
-        self.meter.potential += len(self.g.adj[v])
-        for w in self.g.adj[v]:
-            self.count[w] -= 1
-        self.meter.touch(len(self.g.adj[v]))
+        nbrs, count = self.g.adj[v], self.count
+        self.meter.potential += len(nbrs)
+        for w in nbrs:
+            count[w] -= 1
+        self.meter.touch(len(nbrs))
 
     def _enter(self, v: int, log: AdjustmentLog) -> None:
         self.in_M.add(v)
         self.meter.adjust()
         log.enter(v)
-        self.meter.potential -= len(self.g.adj[v])
-        for w in self.g.adj[v]:
-            self.count[w] += 1
-        self.meter.touch(len(self.g.adj[v]))
+        nbrs, count = self.g.adj[v], self.count
+        self.meter.potential -= len(nbrs)
+        for w in nbrs:
+            count[w] += 1
+        self.meter.touch(len(nbrs))
 
     def _admit_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
         # Candidates are live.  An entry only raises counts, so only those at

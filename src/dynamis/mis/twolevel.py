@@ -9,10 +9,16 @@ count drifts by a factor of two since the phase started.
 Classification follows the current degree: a vertex crossing the threshold
 migrates immediately, paying one neighbor scan at the crossing.
 
+``light_count`` is a list indexed by vertex id, of length ``g.id_bound``:
+ids are dense and never reused, so a vertex insertion appends its count and
+a deletion zeroes its slot.  Isolated and dead vertices hold 0.
+
 A phase rebuild touches only the non-isolated vertices.  An isolated vertex
 is light and in the light MIS in every phase, so its state is kept as it is,
-and a rebuild costs O(m) rather than O(n + m), plus one C-level pass over the
-vertex table to find the non-isolated vertices.
+and a rebuild costs O(m) rather than O(n + m), plus C-level passes over the
+vertex table to find the non-isolated vertices and to zero ``light_count``.
+The heavy MIS rebuild after each update returns at once when there are no
+heavy vertices and no heavy MIS.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ class TwoLevelMis:
         self.heavy_mis: set[int] = set()
         self.heavy_nbrs: dict[int, set[int]] = {v: set() for v in g.vertices()}
         self.light_M: set[int] = set(g.vertices())
-        self.light_count: dict[int, int] = dict.fromkeys(g.vertices(), 0)
         self._init_phase(self._non_isolated())
 
     # -- public surface --------------------------------------------------
@@ -62,7 +67,8 @@ class TwoLevelMis:
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries are not updates; read membership directly")
-        self.meter.begin_op()
+        # each handler begins the operation once the graph accepts the event,
+        # so a rejected event leaves the meter as it was
         log = AdjustmentLog()
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
@@ -84,6 +90,8 @@ class TwoLevelMis:
         """Full-rescan audit of classification, counts and both MIS levels."""
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):
+            return False
+        if len(self.light_count) != g.id_bound:
             return False
         for v in g.vertices():
             if (v in self.heavy) != (len(g.adj[v]) >= self.delta_c):
@@ -120,16 +128,18 @@ class TwoLevelMis:
 
         An isolated vertex is light, in ``light_M``, with ``light_count`` 0
         and no heavy neighbours before and after any rebuild, so the rebuild
-        leaves it alone.  The greedy over ``active`` picks what a greedy over
-        all vertices would, and charges the same touches.
+        leaves it alone; zeroing the whole ``light_count`` list changes only
+        the active entries.  The greedy over ``active`` picks what a greedy
+        over all vertices would, and charges the same touches.
         """
         adj = self.g.adj
         self.m_c = max(self.g.m, 1)
         delta_c = self.delta_c = _ceil_pow_two_thirds(self.m_c)
         heavy = self.heavy = {v for v in active if len(adj[v]) >= delta_c}
-        light_M, light_count, heavy_nbrs = self.light_M, self.light_count, self.heavy_nbrs
+        light_M, heavy_nbrs = self.light_M, self.heavy_nbrs
+        light_count: list[int] = [0] * self.g.id_bound
+        self.light_count = light_count
         light_M.difference_update(active)
-        light_count.update(dict.fromkeys(active, 0))
         heavy_nbrs.update({v: adj[v] & heavy for v in active})
         touched = 0
         for v in active:
@@ -160,6 +170,7 @@ class TwoLevelMis:
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
+        self.meter.begin_op()
         if u in self.heavy:
             self.heavy_nbrs[v].add(u)
         if v in self.heavy:
@@ -177,6 +188,7 @@ class TwoLevelMis:
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
+        self.meter.begin_op()
         self.heavy_nbrs[u].discard(v)
         self.heavy_nbrs[v].discard(u)
         if u in self.light_M:
@@ -193,7 +205,8 @@ class TwoLevelMis:
 
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
         v = self.g.insert_vertex(neighbors)
-        self.light_count[v] = sum(1 for w in neighbors if w in self.light_M)
+        self.meter.begin_op()
+        self.light_count.append(sum(1 for w in neighbors if w in self.light_M))
         self.heavy_nbrs[v] = {w for w in neighbors if w in self.heavy}
         self.meter.touch(len(neighbors))
         if len(neighbors) >= self.delta_c:
@@ -209,6 +222,7 @@ class TwoLevelMis:
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
+        self.meter.begin_op()
         nbrs = sorted(self.g.adj[v])
         if v in self.light_M:
             self._light_leave(v, log)
@@ -222,7 +236,7 @@ class TwoLevelMis:
             self.meter.adjust()
             log.leave(v)
         self.g.delete_vertex(v)
-        del self.light_count[v]
+        self.light_count[v] = 0
         del self.heavy_nbrs[v]
         for w in nbrs:
             if w in self.heavy and len(self.g.adj[w]) < self.delta_c:
@@ -253,17 +267,19 @@ class TwoLevelMis:
         self.light_M.discard(v)
         self.meter.adjust()
         log.leave(v)
-        for w in self.g.adj[v]:
-            self.light_count[w] -= 1
-        self.meter.touch(len(self.g.adj[v]))
+        nbrs, light_count = self.g.adj[v], self.light_count
+        for w in nbrs:
+            light_count[w] -= 1
+        self.meter.touch(len(nbrs))
 
     def _light_enter(self, v: int, log: AdjustmentLog) -> None:
         self.light_M.add(v)
         self.meter.adjust()
         log.enter(v)
-        for w in self.g.adj[v]:
-            self.light_count[w] += 1
-        self.meter.touch(len(self.g.adj[v]))
+        nbrs, light_count = self.g.adj[v], self.light_count
+        for w in nbrs:
+            light_count[w] += 1
+        self.meter.touch(len(nbrs))
 
     def _admit_light_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
         # Candidates are live.  An entry only raises counts, so only those at
@@ -274,6 +290,10 @@ class TwoLevelMis:
                 self._light_enter(w, log)
 
     def _rebuild_heavy_mis(self, log: AdjustmentLog, account: bool = True) -> None:
+        if not self.heavy and not self.heavy_mis:
+            # the greedy would touch nothing and choose nothing
+            self.last_heavy_rebuild_touches = 0
+            return
         touched = 0
         chosen: set[int] = set()
         for v in sorted(self.heavy):

@@ -326,3 +326,27 @@ def test_verify_leaves_the_meter_alone(algorithm):
         r["totals"].pop("wall_time_s")
     assert verified.pop("verified") is True and plain.pop("verified") is None
     assert plain == verified
+
+
+def test_cli_main_repeats_in_one_process(tmp_path, capsys):
+    # the parser is built once and shared by every call
+    path = tmp_path / "toy.txt"
+    path.write_text(TOY)
+    gen_args = ["gen", "--family", "random-edges", "--n", "6", "--events", "20", "--seed", "4"]
+    runs, gens = [], []
+    for _ in range(3):
+        assert main(["run", "mis-2level", str(path), "--verify"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["totals"].pop("wall_time_s")
+        runs.append(report)
+        assert main(gen_args) == 0
+        gens.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "no-such-algorithm", str(path)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    assert runs[0]["verified"] is True and runs.count(runs[0]) == 3
+    assert gens[0].startswith("n 6\n") and gens.count(gens[0]) == 3
+    # options given in one call do not leak into the next
+    assert main(["gen", "--family", "random-edges", "--n", "6", "--events", "5"]) == 0
+    assert capsys.readouterr().out.count("\n") == 6

@@ -2,7 +2,10 @@
 
 Each reference subclass keeps the earlier code verbatim: admission sorts the
 whole candidate set and tests every member, and mis-2level's phase rebuild
-walks every vertex.  Every ``apply`` must log the same changes in the same
+walks every vertex.  Two things follow the current handlers: liveness is
+tested with ``g.is_live``, since the counts are id-indexed lists, and an
+overridden handler begins the metered operation once the graph accepts the
+event.  Every ``apply`` must log the same changes in the same
 order and charge the same ``edges_touched`` as the real class.
 """
 
@@ -18,6 +21,7 @@ from dynamis.stream import QueryInMis
 class ReferenceSimpleMis(SimpleMis):
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
+        self.meter.begin_op()
         if u not in self.in_M:
             self.meter.potential -= 1
         if v not in self.in_M:
@@ -31,7 +35,7 @@ class ReferenceSimpleMis(SimpleMis):
 
     def _admit_zeros(self, candidates, log):
         for w in sorted(candidates):
-            if w in self.count and w not in self.in_M and self.count[w] == 0:
+            if self.g.is_live(w) and w not in self.in_M and self.count[w] == 0:
                 self._enter(w, log)
 
 
@@ -71,6 +75,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
 
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
+        self.meter.begin_op()
         self.heavy_nbrs[u].discard(v)
         self.heavy_nbrs[v].discard(u)
         if u in self.light_M:
@@ -84,6 +89,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
 
     def _insert_vertex(self, neighbors, log):
         v = self.g.insert_vertex(neighbors)
+        self.meter.begin_op()
         self.light_count[v] = sum(1 for w in neighbors if w in self.light_M)
         self.heavy_nbrs[v] = {w for w in neighbors if w in self.heavy}
         self.meter.touch(len(neighbors))
@@ -100,7 +106,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
     def _admit_light_zeros(self, candidates, log):
         for w in sorted(candidates):
             if (
-                w in self.light_count
+                self.g.is_live(w)
                 and w not in self.heavy
                 and w not in self.light_M
                 and self.light_count[w] == 0

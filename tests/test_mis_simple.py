@@ -104,6 +104,31 @@ def test_verify_catches_nonmaximal():
     assert not alg.verify()
 
 
+def test_counts_cover_every_id():
+    g = build(4, [(0, 1), (1, 2)])
+    alg = SimpleMis(g)
+    alg.apply(InsertVertex((0, 2)))
+    alg.apply(DeleteVertex(3))
+    assert len(alg.count) == g.id_bound == 5 and alg.count[3] == 0
+    assert alg.verify()
+
+
+def test_verify_catches_short_count_list():
+    alg = SimpleMis(build(3, [(0, 1)]))
+    alg.apply(InsertVertex((1,)))
+    alg.count.pop()
+    assert not alg.verify()
+
+
+def test_verify_catches_wrong_count_on_inserted_vertex():
+    alg = SimpleMis(build(3, [(0, 1)]))
+    alg.apply(InsertVertex((0, 2)))
+    v = alg.g.id_bound - 1
+    assert alg.count[v] == 2 and alg.verify()
+    alg.count[v] += 1
+    assert not alg.verify()
+
+
 def _random_stream(rng, n, events):
     ops = []
     edges = set()

@@ -142,6 +142,31 @@ def test_verify_catches_stale_count():
     assert not alg.verify()
 
 
+def test_light_counts_cover_every_id():
+    g = build(4, [(0, 1), (1, 2)])
+    alg = TwoLevelMis(g)
+    alg.apply(InsertVertex((0, 2)))
+    alg.apply(DeleteVertex(3))
+    assert len(alg.light_count) == g.id_bound == 5 and alg.light_count[3] == 0
+    assert alg.verify()
+
+
+def test_verify_catches_short_light_count_list():
+    alg = TwoLevelMis(build(3, [(0, 1)]))
+    alg.apply(InsertVertex((1,)))
+    alg.light_count.pop()
+    assert not alg.verify()
+
+
+def test_verify_catches_wrong_count_on_inserted_vertex():
+    alg = TwoLevelMis(build(5, [(0, 1), (2, 3)]))
+    alg.apply(InsertVertex((0, 2, 4)))
+    v = alg.g.id_bound - 1
+    assert alg.light_count[v] >= 1 and alg.verify()
+    alg.light_count[v] += 1
+    assert not alg.verify()
+
+
 def test_verify_catches_gated_heavy_member():
     alg = TwoLevelMis(_blocked_leaf_hub())
     assert alg.verify()
