@@ -1,30 +1,37 @@
 """Maximum cardinality matching under updates, on one alternating forest.
 
-``DynamicMatching`` keeps a maximum matching together with a multi-root
-alternating forest over it: Edmonds' search grown from every free vertex at
-once, with blossoms contracted through a disjoint-set union over their bases
-(Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan 1985).  Once the
-forest is complete and the matching is maximum, no edge joins even vertices
-of two different trees.
+``DynamicMatching`` finds augmenting paths with one search, Edmonds'
+alternating forest with blossoms contracted through a disjoint-set union
+over their bases (Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan
+1985).  ``_build_forest(roots)`` grows it from every free vertex when an
+insertion needs a fresh forest, and only from the freed vertex in
+``augment_from``.
 
-An inserted edge is fed into the forest.  An edge between even vertices of
-two trees closes an augmenting path: one single-source search from either
-tree's root finds a path and the matching grows by one, which is all an
-insertion can add.  Any other edge attaches a matched pair to a tree or
-contracts a blossom, and the forest grows from the vertices that turned
-even.  Every vertex is scanned at most once per forest, so an insertion
-costs at most one pass over the forest, O(n + m).
+Each odd vertex points at the even vertex it hangs from.  Contracting a
+blossom points each even vertex on its cycle back along the cycle towards
+the closing edge, and that edge's endpoints at each other, so from every
+even vertex ``x`` the walk ``x, mate[x], parent[mate[x]], ...`` alternates
+up to its root.  An edge from an even vertex to an even vertex of another
+tree, or to a free vertex that is not a root, closes an augmenting path; the
+forest flips it along these pointers and runs no second search.
 
-A deletion or a vertex update repairs the matching by single-source search
-from the endpoints it freed: only paths ending there can augment, and at
-most one does.  Augmentations, deletions and vertex updates leave the forest
-stale; it is rebuilt from the free vertices at the next insertion that needs
-it.
+An inserted edge is fed into the standing forest.  It either closes an
+augmenting path, and the matching grows by one, which is all an insertion
+can add; or it attaches a matched pair to a tree or contracts a blossom, and
+the forest grows from the vertices that turned even.  Every vertex is
+scanned at most once per forest, so an insertion costs O(n + m).  Once the
+forest from every free vertex is complete, no edge joins even vertices of
+two trees.
 
-The single-source search runs on the live adjacency sets and ``mate`` dict
-and meters every adjacency scan it makes.  A stage is the span of updates
-that ends when the matching grows; ``stage_touches`` records the metered work
-of each one, as the difference of the meter's total at its two ends.
+A deletion or a vertex update searches from the endpoints it freed: only
+paths ending there can augment, and at most one does.  Augmentations,
+deletions, vertex updates and these searches leave the forest stale; it is
+rebuilt at the next insertion that needs it.
+
+The forest meters every adjacency scan it makes.  A stage is the span of
+updates that ends when the matching grows; ``stage_touches`` records the
+metered work of each one, as the difference of the meter's total at its two
+ends.
 
 ``IncrementalMatching`` is the same structure with deletions rejected.
 """
@@ -50,98 +57,17 @@ class MatchDelta:
     flipped: list[tuple[int, int]] = field(default_factory=list)
 
 
-def _single_source_augment(
-    g: DynGraph, mate: dict[int, int], root: int, meter: CostMeter
-) -> list[tuple[int, int]] | None:
-    """Grow one alternating tree from the free vertex ``root``.
-
-    Contracts blossoms on the way; on success flips ``mate`` along the
-    augmenting path and returns the new matched pairs, else returns None.
-    """
-    if root in mate:
-        raise NotFreeError(f"vertex {root} is matched")
-    adj = g.adj
-    parent: dict[int, int] = {}
-    base: dict[int, int] = {}  # disjoint-set parent of a contracted vertex
-    used = {root}
-    queue = deque([root])
-
-    def find(v: int) -> int:
-        r = v
-        while r in base:
-            r = base[r]
-        while v in base and base[v] != r:
-            base[v], v = r, base[v]
-        return r
-
-    def lca(a: int, b: int) -> int:
-        seen = set()
-        while True:
-            a = find(a)
-            seen.add(a)
-            if a not in mate:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = find(b)
-            if b in seen:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while find(v) != b:
-            mv = mate[v]
-            blossom.add(find(v))
-            blossom.add(find(mv))
-            parent[v] = child
-            child = mv
-            v = parent[mv]
-
-    while queue:
-        v = queue.popleft()
-        nbrs = adj[v]
-        meter.touch(len(nbrs))
-        for to in nbrs:
-            if find(v) == find(to) or mate.get(v) == to:
-                continue
-            if to == root or (to in mate and mate[to] in parent):
-                cur = lca(v, to)
-                blossom: set[int] = set()
-                mark_path(v, cur, to, blossom)
-                mark_path(to, cur, v, blossom)
-                for b in blossom:
-                    if b != cur:
-                        base[b] = cur
-                    if b not in used:
-                        used.add(b)
-                        queue.append(b)
-            elif to not in parent:
-                parent[to] = v
-                if to not in mate:
-                    flipped = []
-                    w: int | None = to
-                    while w is not None:
-                        pw = parent[w]
-                        nxt = mate.get(pw)
-                        mate[w] = pw
-                        mate[pw] = w
-                        flipped.append((min(w, pw), max(w, pw)))
-                        w = nxt
-                    flipped.sort()
-                    return flipped
-                used.add(mate[to])
-                queue.append(mate[to])
-    return None
-
-
 class DynamicMatching:
-    """Fully dynamic maximum matching: forest on insertions, search on deletions.
+    """Fully dynamic maximum matching on one alternating forest.
 
-    Forest state, valid while ``_stale`` is false: ``label`` is EVEN or ODD
-    for vertices in a tree, ``root`` names their tree, ``parent`` links an
-    ODD vertex to the even vertex it hangs from, and ``dsu`` maps a
-    contracted vertex towards its blossom's base.  ``_queue`` holds even
-    vertices not scanned yet.
+    Forest state: ``label`` is EVEN or ODD for vertices in a tree, ``root``
+    names their tree, and ``dsu`` maps a contracted vertex towards its
+    blossom's base.  ``parent`` links an odd vertex to the even vertex it
+    hangs from, and an even vertex on a contracted cycle to its neighbour
+    on the cycle towards the edge that closed it (an endpoint of that edge
+    to the other).  ``_queue`` holds even vertices not scanned yet.  While ``_stale`` is false the forest's roots are all
+    the free vertices; ``augment_from`` grows one from a single root and
+    leaves it stale.
     """
 
     def __init__(self, g: DynGraph):
@@ -156,7 +82,8 @@ class DynamicMatching:
         self._stale = True
         for v in sorted(g.vertices()):
             if v not in self.mate:
-                _single_source_augment(g, self.mate, v, self.meter)
+                self._build_forest([v])
+                self._grow()
         self.stage_touches: list[int] = []
         self._stage_start = self.meter.edges_touched
 
@@ -165,7 +92,12 @@ class DynamicMatching:
         return len(self.mate) // 2
 
     def augment_from(self, v: int) -> list[tuple[int, int]] | None:
-        return _single_source_augment(self.g, self.mate, v, self.meter)
+        """Flips an augmenting path from the free vertex ``v``; returns the new pairs, or None."""
+        if v in self.mate:
+            raise NotFreeError(f"vertex {v} is matched")
+        self._stale = True  # a forest from one root misses the other free vertices
+        self._build_forest([v])
+        return self._grow()
 
     def verify(self) -> bool:
         for x, y in self.mate.items():
@@ -227,30 +159,27 @@ class DynamicMatching:
         if len(mate) == self.g.n:
             return []  # no free vertex, so no augmenting path
         if self._stale:
-            self._build_forest()  # scans every even vertex, the new edge included
+            # the fresh forest scans every even vertex, the new edge included
+            self._build_forest([w for w in self.g.adj if w not in mate])
+            self._stale = False
         else:
             self.meter.touch(1)
             found = self._process_edge(u, v)
             if found is not None:
                 return found
-        return self._grow()
+        return self._grow() or []
 
     # -- forest machinery ------------------------------------------------
 
-    def _build_forest(self) -> None:
-        self.label = {}
+    def _build_forest(self, roots: list[int]) -> None:
+        """Starts a forest whose trees are the free vertices ``roots``."""
+        self.label = dict.fromkeys(roots, EVEN)
+        self.root = {v: v for v in roots}
         self.parent = {}
-        self.root = {}
         self.dsu = {}
-        self._queue = deque()
-        for v in self.g.adj:
-            if v not in self.mate:
-                self.label[v] = EVEN
-                self.root[v] = v
-                self._queue.append(v)
-        self._stale = False
+        self._queue = deque(roots)
 
-    def _grow(self) -> list[tuple[int, int]]:
+    def _grow(self) -> list[tuple[int, int]] | None:
         """Scan queued even vertices until the forest is complete or augments."""
         adj = self.g.adj
         while self._queue:
@@ -261,7 +190,7 @@ class DynamicMatching:
                 found = self._process_edge(v, w)
                 if found is not None:
                     return found
-        return []
+        return None
 
     def _find(self, v: int) -> int:
         r = v
@@ -277,19 +206,18 @@ class DynamicMatching:
         if bu == bv:
             return None
         lu, lv = self.label.get(bu), self.label.get(bv)
-        if lu != EVEN and lv != EVEN:
-            return None
-        if lu == EVEN and lv == EVEN:
-            if self.root[bu] != self.root[bv]:
-                flipped = self.augment_from(self.root[bu])
-                assert flipped is not None, "bridged trees must admit an augmenting path"
-                self._stale = True
-                return flipped
-            self._contract(bu, bv)
-            return None
         if lu != EVEN:
-            u, v, lv = v, u, lu
+            if lv != EVEN:
+                return None
+            u, v, bu, bv, lv = v, u, bv, bu, lu
+        if lv == EVEN:
+            if self.root[bu] == self.root[bv]:
+                self._contract(u, v)
+                return None
+            return self._augment(u, v)
         if lv is None:
+            if v not in self.mate:
+                return self._augment(u, v)
             self._attach(u, v)
         return None
 
@@ -297,10 +225,30 @@ class DynamicMatching:
         w = self.mate[v]
         self.label[v] = ODD
         self.parent[v] = even_u
-        self.root[v] = self.root[self._find(even_u)]
+        self.root[v] = self.root[even_u]
         self.label[w] = EVEN
         self.root[w] = self.root[v]
         self._queue.append(w)
+
+    def _augment(self, u: int, v: int) -> list[tuple[int, int]]:
+        """Flips the augmenting path through edge (u,v): u is even, v even in another tree or free."""
+        mate, parent = self.mate, self.parent
+        flipped = [(min(u, v), max(u, v))]
+        for x in (u, v):
+            # x's side runs x, mate[x], parent[mate[x]], ... up to its root
+            y = mate.get(x)
+            while y is not None:
+                z = parent[y]
+                nxt = mate.get(z)
+                mate[y] = z
+                mate[z] = y
+                flipped.append((min(y, z), max(y, z)))
+                y = nxt
+        mate[u] = v
+        mate[v] = u
+        self._stale = True
+        flipped.sort()
+        return flipped
 
     def _up(self, b: int) -> int | None:
         """Next even base above blossom/vertex base ``b``, None at a root."""
@@ -309,27 +257,32 @@ class DynamicMatching:
             return None
         return self._find(self.parent[mb])
 
-    def _contract(self, bu: int, bv: int) -> None:
+    def _contract(self, u: int, v: int) -> None:
+        """Contracts the blossom that edge (u,v) closes between two even vertices of one tree."""
+        find, mate, parent = self._find, self.mate, self.parent
         ancestors = set()
-        x: int | None = bu
+        x: int | None = find(u)
         while x is not None:
             ancestors.add(x)
             x = self._up(x)
-        x = bv
+        x = find(v)
         while x not in ancestors:
             x = self._up(x)
             assert x is not None, "bases share no root"
         lca = x
         members: set[int] = set()
-        for y in (bu, bv):
-            while y != lca:
-                members.add(y)
-                my = self.mate.get(y)
-                if my is not None and self._find(my) != lca:
-                    members.add(self._find(my))
-                y = self._up(y)
+        for x, across in ((u, v), (v, u)):
+            # each even vertex on this side points back along the cycle, the
+            # endpoint across the closing edge
+            while find(x) != lca:
+                mx = mate[x]
+                members.add(find(x))
+                members.add(find(mx))
+                parent[x] = across
+                across = mx
+                x = parent[mx]
         for b in members:
-            if self.label.get(b) == ODD:
+            if self.label[b] == ODD:
                 self._queue.append(b)  # an odd vertex inside a blossom is even
             self.dsu[b] = lca
 

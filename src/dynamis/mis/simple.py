@@ -47,6 +47,7 @@ class SimpleMis:
     # -- public surface --------------------------------------------------
 
     def contains(self, v: int) -> bool:
+        self.g._require(v)
         return v in self.in_M
 
     def mis(self) -> set[int]:

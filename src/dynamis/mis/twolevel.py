@@ -62,6 +62,7 @@ class TwoLevelMis:
         return self.light_M | self.heavy_mis
 
     def contains(self, v: int) -> bool:
+        self.g._require(v)
         return v in self.light_M or v in self.heavy_mis
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:

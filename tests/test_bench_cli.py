@@ -286,6 +286,24 @@ def test_cli_run_delete_unknown_vertex_exits_2(algorithm, tmp_path, capsys):
     assert "vertex 7 is not live" in capsys.readouterr().err
 
 
+NON_LIVE_QUERIES = [
+    pytest.param(alg, "n 2\n? 5\n", 5, id=f"{alg}-never-issued")
+    for alg in ("mis-simple", "mis-inc", "mis-2level", "mis-implicit")
+] + [
+    # mis-inc rejects the deletion itself
+    pytest.param(alg, "n 3\n+e 0 1\n-v 1\n? 1\n", 1, id=f"{alg}-deleted")
+    for alg in ("mis-simple", "mis-2level", "mis-implicit")
+]
+
+
+@pytest.mark.parametrize("algorithm,text,v", NON_LIVE_QUERIES)
+def test_cli_run_query_on_non_live_vertex_exits_2(algorithm, text, v, tmp_path, capsys):
+    path = tmp_path / "query.txt"
+    path.write_text(text)
+    assert main(["run", algorithm, str(path)]) == 2
+    assert f"vertex {v} is not live" in capsys.readouterr().err
+
+
 # one compatible stream per algorithm, with In-MIS queries where it answers them
 AGREEMENT_STREAMS = {
     "mis-simple": lambda: gen_random_edges(12, 150, 1, 0.65, query_rate=0.15, vertex_rate=0.1),

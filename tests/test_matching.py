@@ -13,10 +13,9 @@ from dynamis import (
     QueryInMis,
 )
 from dynamis.errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
-from dynamis.matching import _single_source_augment
-from dynamis.meter import CostMeter
 from dynamis.generators import gen_random_edges
 from dynamis.oracles import exhaustive_max_matching, static_max_matching
+from test_flow import CountingSet
 
 
 def build(n, edges):
@@ -26,43 +25,46 @@ def build(n, edges):
     return g
 
 
+def _with_mate(g, mate):
+    """A matching on ``g`` whose ``mate`` is set by hand."""
+    alg = DynamicMatching(g)
+    alg.mate.clear()
+    alg.mate.update(mate)
+    return alg
+
+
 def test_augment_single_edge():
-    g = build(2, [(0, 1)])
-    mate = {}
-    flipped = _single_source_augment(g, mate, 0, CostMeter())
+    alg = _with_mate(build(2, [(0, 1)]), {})
+    flipped = alg.augment_from(0)
     assert flipped == [(0, 1)]
-    assert mate == {0: 1, 1: 0}
+    assert alg.mate == {0: 1, 1: 0}
 
 
 def test_augment_flips_alternating_path():
-    g = build(4, [(0, 1), (1, 2), (2, 3)])
-    mate = {1: 2, 2: 1}
-    flipped = _single_source_augment(g, mate, 0, CostMeter())
+    alg = _with_mate(build(4, [(0, 1), (1, 2), (2, 3)]), {1: 2, 2: 1})
+    flipped = alg.augment_from(0)
     assert flipped is not None
-    assert mate == {0: 1, 1: 0, 2: 3, 3: 2}
+    assert alg.mate == {0: 1, 1: 0, 2: 3, 3: 2}
 
 
 def test_augment_through_blossom():
     # triangle 0-1-2 with pendant 3 on vertex 2; matching {0,1} forces the
     # search from 3 to walk the odd cycle
-    g = build(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    mate = {0: 1, 1: 0}
-    flipped = _single_source_augment(g, mate, 3, CostMeter())
+    alg = _with_mate(build(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), {0: 1, 1: 0})
+    flipped = alg.augment_from(3)
     assert flipped is not None
-    assert len(mate) == 4 and mate[3] == 2
+    assert len(alg.mate) == 4 and alg.mate[3] == 2
 
 
 def test_augment_requires_free_root():
-    g = build(2, [(0, 1)])
-    mate = {0: 1, 1: 0}
+    alg = _with_mate(build(2, [(0, 1)]), {0: 1, 1: 0})
     with pytest.raises(NotFreeError):
-        _single_source_augment(g, mate, 0, CostMeter())
+        alg.augment_from(0)
 
 
 def test_augment_no_path_returns_none():
-    g = build(3, [(0, 1)])
-    mate = {0: 1, 1: 0}
-    assert _single_source_augment(g, mate, 2, CostMeter()) is None
+    alg = _with_mate(build(3, [(0, 1)]), {0: 1, 1: 0})
+    assert alg.augment_from(2) is None
 
 
 def test_init_matches_oracle():
@@ -359,6 +361,22 @@ def test_edge_between_matched_vertices_augments_on_a_grown_forest():
     assert delta.delta == 0
     delta = alg.apply(InsertEdge(3, 5))
     assert delta.delta == 1 and alg.cardinality == 4
+    # the standing forest flips the path itself: no second search
+    assert alg.meter.op_edges_touched == 1
+    assert delta.flipped == [(0, 1), (2, 4), (3, 5), (6, 7)]
+    _check_matching(alg)
+
+
+def test_deletion_repairs_through_a_blossom_to_a_free_vertex_that_is_not_a_root():
+    # deleting 0=6 frees 0, whose forest closes the five-cycle 0-1=2-4=3-0
+    # into a blossom; the free vertex 5 hangs off 1, which only the blossom
+    # makes even, so the path 0-3=4-2=1-5 runs around the cycle
+    g = build(7, [(0, 6), (0, 1), (0, 3), (1, 2), (3, 4), (2, 4), (1, 5)])
+    alg = _with_mate(g, {0: 6, 6: 0, 1: 2, 2: 1, 3: 4, 4: 3})
+    assert alg.verify()
+    delta = alg.apply(DeleteEdge(0, 6))
+    assert delta.delta == 0
+    assert delta.flipped == [(0, 3), (1, 5), (2, 4)]
     _check_matching(alg)
 
 
@@ -372,18 +390,18 @@ def test_augment_on_graph_with_deleted_ids(seed):
         g.delete_vertex(v)
     for _ in range(3):
         g.insert_vertex(rng.sample(sorted(g.vertices()), 2))
-    mate = {}
-    meter = CostMeter()
+    alg = _with_mate(g, {})
+    mate = alg.mate
     for v in sorted(g.vertices()):
         if v not in mate:
-            flipped = _single_source_augment(g, mate, v, meter)
+            flipped = alg.augment_from(v)
             assert flipped is None or (min(v, mate[v]), max(v, mate[v])) in flipped
     for u, v in mate.items():
         assert mate[v] == u and g.has_edge(u, v)
     assert len(mate) // 2 == static_max_matching(g.adj)
     for v in g.vertices():
         if v not in mate:
-            assert _single_source_augment(g, mate, v, meter) is None
+            assert alg.augment_from(v) is None
 
 
 def _k5_40():
@@ -405,3 +423,45 @@ def test_insert_between_matched_costs_one_forest_pass():
     delta = alg.apply(InsertEdge(2, 3))
     assert delta.delta == 0
     assert alg.meter.op_edges_touched <= 1
+
+
+class CountingAdj(dict):
+    """Adjacency whose sets, those of vertices inserted later included, are CountingSets."""
+
+    def __init__(self, tally, adj):
+        super().__init__()
+        self.tally = tally
+        for v, nbrs in adj.items():
+            self[v] = nbrs
+
+    def __setitem__(self, v, nbrs):
+        counting = CountingSet(self.tally)
+        counting.update(nbrs)
+        super().__setitem__(v, counting)
+
+
+@pytest.mark.parametrize("cls", [DynamicMatching, IncrementalMatching])
+def test_meter_covers_every_adjacency_scan(cls):
+    # every entry an update reads from g.adj is metered; verify() reads
+    # unmetered and is left out
+    total_reads = 0
+    for seed in range(60):
+        n = 4 + seed % 37
+        p_insert = 1.0 if cls is IncrementalMatching else (0.55, 0.7, 0.85)[seed % 3]
+        stream = gen_random_edges(n, 300, seed=1900 + seed, p_insert=p_insert)
+        if cls is IncrementalMatching:
+            alg = IncrementalMatching()
+            for _ in range(n):
+                alg.insert_vertex()
+        else:
+            alg = DynamicMatching(DynGraph(n))
+        tally = [0]
+        alg.g.adj = CountingAdj(tally, alg.g.adj)
+        for event in stream.events:
+            before = tally[0]
+            alg.apply(event)
+            reads = tally[0] - before
+            assert reads <= alg.meter.op_edges_touched, (seed, event, reads)
+            total_reads += reads
+        _check_matching(alg)
+    assert total_reads > 0
