@@ -103,7 +103,7 @@ class DynamicMatching:
         for x, y in self.mate.items():
             if self.mate.get(y) != x or not self.g.has_edge(x, y):
                 return False
-        return self.cardinality == static_max_matching(self.g.adj)
+        return self.cardinality == static_max_matching(self.g.adj, self.mate)
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
         """Apply one update; the operation is metered only once the graph accepts it."""

@@ -3,7 +3,11 @@
 Nothing here shares code with the dynamic modules it validates.
 ``dynamis run --verify`` calls ``is_mis``, ``static_max_flow`` and (through
 the matching audits) ``static_max_matching`` after every event, so those
-three are kept cheap while still computing every answer from scratch.  The
+three are kept cheap.  The two exact oracles take an optional start, the
+module's own flow or matching, and search on from it when it is a valid
+solution: a maximum start then costs about one search instead of a full
+recomputation, while any start, or none, still yields the exact optimum, so
+a module whose state is valid but short of the optimum fails the check.  The
 enumerations (``min_cut_enumerate``, ``exhaustive_max_matching``) are
 exponential and only cross-check the other oracles in tests.
 """
@@ -13,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 @dataclass
@@ -47,12 +51,25 @@ def static_mis(adj: Mapping[int, set[int]], order: Sequence[int] | None = None) 
 # -- unit-capacity max flow ----------------------------------------------
 
 
-def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
-    """Max-flow value by repeated augmenting BFS from scratch (unit capacities).
+def static_max_flow(
+    vertices: Iterable[int],
+    edges: Iterable[tuple[int, int]],
+    s: int,
+    t: int,
+    start: Collection[tuple[int, int]] = (),
+) -> int:
+    """Max-flow value by augmenting BFS (Edmonds-Karp, unit capacities).
 
     ``res[u][v]`` is the residual capacity of arc u->v.  A reverse arc gets
     its entry when flow first crosses its edge, so building the map costs one
     lookup per edge and a BFS scans one dict per vertex.
+
+    ``start`` lists the edges that carry a unit.  If they form a flow (each
+    one an edge of ``edges``, used at most as often as it occurs there, and
+    conserved at every vertex but ``s`` and ``t``), the search augments from
+    it, so a maximum start costs one BFS; otherwise it starts from zero.
+    Either way the result is the maximum, since a flow is maximum exactly
+    when its residual graph has no s-t path.
     """
     res: dict[int, dict[int, int]] = {v: {} for v in vertices}
     for u, v in edges:
@@ -60,7 +77,7 @@ def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s
         out[v] = out.get(v, 0) + 1
     if s == t or s not in res or t not in res:
         return 0
-    value = 0
+    value = _start_value(res, start, s, t) if start else 0
     while True:
         prev: dict[int, int] = {s: s}
         queue = deque([s])
@@ -82,6 +99,26 @@ def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s
         value += 1
 
 
+def _start_value(res: dict[int, dict[int, int]], start: Collection[tuple[int, int]], s: int, t: int) -> int:
+    """Push ``start`` into the fresh map ``res`` if it is a flow; its value, else 0."""
+    used: dict[tuple[int, int], int] = {}
+    balance: dict[int, int] = {}
+    for u, v in start:
+        k = used.get((u, v), 0) + 1
+        if u not in res or k > res[u].get(v, 0):
+            return 0
+        used[(u, v)] = k
+        balance[u] = balance.get(u, 0) - 1
+        balance[v] = balance.get(v, 0) + 1
+    if any(b for v, b in balance.items() if v != s and v != t):
+        return 0
+    for u, v in start:
+        res[u][v] -= 1
+        back = res[v]
+        back[u] = back.get(u, 0) + 1
+    return -balance.get(s, 0)
+
+
 def min_cut_enumerate(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
     """Minimum s-t cut by enumerating all vertex bipartitions (tiny nets only)."""
     others = [v for v in vertices if v not in (s, t)]
@@ -97,90 +134,105 @@ def min_cut_enumerate(vertices: Iterable[int], edges: Iterable[tuple[int, int]],
 # -- maximum cardinality matching ----------------------------------------
 
 
-def static_max_matching(adj: Mapping[int, set[int]]) -> int:
-    """Maximum matching cardinality via a static blossom-contraction search.
+def static_max_matching(adj: Mapping[int, set[int]], start: Mapping[int, int] | None = None) -> int:
+    """Maximum matching cardinality via static blossom-contraction searches.
 
-    A greedy maximal matching seeds the searches.  By Edmonds' theorem a
-    vertex with no augmenting path from it never gains one after later
-    augmentations, so one search per vertex still free is enough.
+    The searches begin from ``start`` if it is a matching of ``adj`` (a
+    symmetric mate map along edges) and from the empty matching otherwise,
+    extended greedily to a maximal one.  Then one search runs from each
+    vertex still free.  By Edmonds' theorem a vertex with no augmenting path
+    never gains one after later augmentations.  The tree of a failed search
+    is Hungarian (Edmonds 1965): no edge joins one of its even vertices to a
+    vertex outside it, so no later augmenting path passes through it, and its
+    vertices are skipped from then on.  A maximum start therefore costs about
+    one pass over the graph.
     """
-    ids = sorted(adj)
-    index = {v: i for i, v in enumerate(ids)}
-    n = len(ids)
-    nbrs = [[index[w] for w in adj[v]] for v in ids]
-    match = [-1] * n
-
-    def lca(base: list[int], p: list[int], a: int, b: int) -> int:
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
+    mate: dict[int, int] = {}
+    if start:
+        for x, y in start.items():
+            if start.get(y) != x or x not in adj or y not in adj[x]:
                 break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
+        else:
+            mate.update(start)
+    for v in adj:
+        if v not in mate:
+            for w in adj[v]:
+                if w not in mate:
+                    mate[v] = w
+                    mate[w] = v
+                    break
+    dead: set[int] = set()  # vertices of failed searches' trees
 
-    def mark_path(base: list[int], p: list[int], blossom: list[bool], v: int, b: int, child: int) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_path(root: int) -> bool:
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
-        used[root] = True
+    def search(root: int) -> None:
+        """Flip an augmenting path from the free ``root``, or retire its tree."""
+        # ``base`` maps every tree vertex to its blossom's base; ``parent``
+        # links an odd vertex to the even one it hangs from, and an even
+        # vertex on a contracted cycle to its neighbour across the cycle
+        base = {root: root}
+        parent: dict[int, int] = {}
+        even = {root}
         queue = deque([root])
+
+        def lca(a: int, b: int) -> int:
+            seen = set()
+            while True:
+                a = base[a]
+                seen.add(a)
+                if a not in mate:
+                    break
+                a = parent[mate[a]]
+            while True:
+                b = base[b]
+                if b in seen:
+                    return b
+                b = parent[mate[b]]
+
+        def mark_path(blossom: set[int], v: int, b: int, child: int) -> None:
+            while base[v] != b:
+                blossom.add(base[v])
+                blossom.add(base[mate[v]])
+                parent[v] = child
+                child = mate[v]
+                v = parent[mate[v]]
+
         while queue:
             v = queue.popleft()
-            for to in nbrs[v]:
-                if base[v] == base[to] or match[v] == to:
+            for to in adj[v]:
+                if to in dead or base[v] == base.get(to) or mate.get(v) == to:
                     continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(base, p, v, to)
-                    blossom = [False] * n
-                    mark_path(base, p, blossom, v, cur, to)
-                    mark_path(base, p, blossom, to, cur, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                if to == root or (to in mate and mate[to] in parent):
+                    cur = lca(v, to)
+                    blossom: set[int] = set()
+                    mark_path(blossom, v, cur, to)
+                    mark_path(blossom, to, cur, v)
+                    for i, b in base.items():
+                        if b in blossom:
                             base[i] = cur
-                            if not used[i]:
-                                used[i] = True
+                            if i not in even:
+                                even.add(i)
                                 queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        w = to
-                        while w != -1:
-                            pw = p[w]
-                            nxt = match[pw]
-                            match[w] = pw
-                            match[pw] = w
+                elif to not in parent:
+                    parent[to] = v
+                    if to not in mate:
+                        w: int | None = to
+                        while w is not None:
+                            pw = parent[w]
+                            nxt = mate.get(pw)
+                            mate[w] = pw
+                            mate[pw] = w
                             w = nxt
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
+                        return
+                    m = mate[to]
+                    base[to] = to
+                    base[m] = m
+                    even.add(m)
+                    queue.append(m)
+        dead.update(base)
 
-    size = 0
-    for v in range(n):
-        if match[v] == -1:
-            for w in nbrs[v]:
-                if match[w] == -1:
-                    match[v], match[w] = w, v
-                    size += 1
-                    break
-    for v in range(n):
-        if match[v] == -1 and nbrs[v] and find_path(v):
-            size += 1
-    return size
+    for v in adj:
+        if v not in mate and v not in dead and adj[v]:
+            search(v)
+    return len(mate) // 2
 
 
 def exhaustive_max_matching(adj: Mapping[int, set[int]]) -> int:

@@ -4,7 +4,8 @@ from typing import Iterable, Mapping
 
 import pytest
 
-from dynamis.generators import gen_random_edges, gen_random_flow
+from dynamis.bench import REGISTRY
+from dynamis.generators import GenSpec, gen_random_edges, gen_random_flow
 from dynamis.oracles import (
     OracleReport,
     exhaustive_max_matching,
@@ -111,10 +112,14 @@ def test_matching_matches_exhaustive_sampled():
 # -- the oracles against their earlier versions ------------------------------
 #
 # The oracles run after every event under ``--verify``, so they are tuned:
-# residual maps in the max flow, a greedy seed in the blossom matching, and no
-# temporary sets in ``is_mis``.  The reference copies below are the untuned
-# versions, kept verbatim; the tuned ones must agree with them on every state
-# of seeded streams, and ``is_mis`` must give the same detail messages.
+# residual maps in the max flow, and no temporary sets in ``is_mis``.  The
+# blossom matching works on the graph's own ids, seeds its searches with a
+# greedy maximal matching and skips the trees of failed searches.  Both exact
+# oracles also take a starting solution (the module's own state under
+# ``--verify``) and search on from it.  The reference copies below are the
+# untuned versions, kept verbatim; the tuned ones, cold and warm-started, must
+# agree with them on every state of seeded streams, and ``is_mis`` must give
+# the same detail messages.
 
 
 def _reference_is_mis(adj, mis):
@@ -364,3 +369,185 @@ def test_min_cut_enumerate_edge_cases(case):
     assert min_cut_enumerate(vertices, arcs, s, t) == value
     assert static_max_flow(vertices, arcs, s, t) == value
     assert _reference_static_max_flow(vertices, arcs, s, t) == value
+
+
+# -- warm starts ---------------------------------------------------------------
+#
+# Every start, valid or not, must give the exact optimum: the module's own
+# state, a valid start one unit short of it, and starts that are no matching or
+# no flow at all, which the oracles must ignore.
+
+
+def _replayed(algorithm, spec):
+    """The structure after every event of the generated stream."""
+    stream = spec.generate()
+    alg = REGISTRY[algorithm].build(stream)
+    for event in stream.events:
+        alg.apply(event)
+        yield alg
+
+
+def _matching_starts(adj, mate):
+    """(kind, start) pairs: a pair removed, an asymmetric mate, a mate along a non-edge."""
+    if mate:
+        x = min(mate)
+        short = {v: w for v, w in mate.items() if v not in (x, mate[x])}
+        yield "short", short
+        one_sided = dict(mate)
+        del one_sided[mate[x]]
+        yield "asymmetric", one_sided
+    free = [v for v in adj if v not in mate]
+    pair = next(((u, v) for u in free for v in free if u < v and v not in adj[u]), None)
+    if pair is not None:
+        u, v = pair
+        yield "non-edge", {**mate, u: v, v: u}
+
+
+@pytest.mark.parametrize("algorithm,p_insert", [("match-fd", 0.7), ("match-inc", 1.0)])
+def test_warm_matching_equals_cold_and_reference_on_every_stream_state(algorithm, p_insert):
+    kinds = {}
+    for seed in range(6):
+        spec = GenSpec(
+            "random-matching", n=14 + 2 * seed, events=120, seed=seed, p_insert=p_insert,
+            vertex_rate=0.05 if p_insert < 1 else 0.0,
+        )
+        for alg in _replayed(algorithm, spec):
+            adj = alg.g.adj
+            want = _reference_static_max_matching(adj)
+            assert static_max_matching(adj) == want
+            own = dict(alg.mate)
+            assert static_max_matching(adj, alg.mate) == want == alg.cardinality
+            assert alg.mate == own  # the oracle searches on a copy
+            for kind, start in _matching_starts(adj, own):
+                assert static_max_matching(adj, start) == want, kind
+                kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 100 and len(kinds) == 3
+
+
+def _st_path(flow, s, t):
+    """The edges of one s-t path along saturated edges (one exists while F > 0)."""
+    out = {}
+    for (u, v), f in flow.items():
+        if f:
+            out.setdefault(u, []).append(v)
+    prev, stack = {s: None}, [s]
+    while stack:
+        u = stack.pop()
+        for v in out.get(u, ()):
+            if v not in prev:
+                prev[v] = u
+                stack.append(v)
+    path, v = [], t
+    while prev[v] is not None:
+        path.append((prev[v], v))
+        v = prev[v]
+    return path
+
+
+def _flow_starts(net):
+    """(kind, start) pairs: one path's unit pulled back, a fake s-t edge, broken conservation."""
+    carried = [e for e, f in net.flow.items() if f]
+    s, t = net.s, net.t
+    if net.F:
+        path = set(_st_path(net.flow, s, t))
+        yield "short", [e for e in carried if e not in path]
+    if (s, t) not in net.flow:
+        # conserved, but carried on an edge the network does not have
+        yield "missing edge", carried + [(s, t)]
+    spare = next((e for e, f in net.flow.items() if not f and e[0] == s and e[1] != t), None)
+    if spare is not None:
+        yield "unbalanced", carried + [spare]
+
+
+@pytest.mark.parametrize("algorithm,p_insert", [("flow-fd", 0.7), ("flow-inc", 1.0)])
+def test_warm_flow_equals_cold_and_reference_on_every_stream_state(algorithm, p_insert):
+    kinds = {}
+    for seed in range(8):
+        spec = GenSpec("random-flow", n=8 + seed, events=120, seed=seed, p_insert=p_insert)
+        for net in _replayed(algorithm, spec):
+            vertices, edges = net.vertices(), net.directed_edges()
+            want = _reference_static_max_flow(vertices, edges, net.s, net.t)
+            assert static_max_flow(vertices, edges, net.s, net.t) == want == net.F
+            own = [e for e, f in net.flow.items() if f]
+            assert static_max_flow(vertices, edges, net.s, net.t, own) == want
+            for kind, start in _flow_starts(net):
+                assert static_max_flow(vertices, edges, net.s, net.t, start) == want, kind
+                kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) > 100 and len(kinds) == 3
+
+
+def test_warm_matching_equals_exhaustive_on_random_graphs():
+    rng = random.Random(13)
+    for _ in range(6000):
+        n = rng.randint(1, 12)
+        adj = {v: set() for v in range(n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u].add(v)
+                adj[v].add(u)
+        # a random maximal matching: maximum on some graphs, not on others
+        mate = {}
+        order = list(adj)
+        rng.shuffle(order)
+        for v in order:
+            free = sorted(w for w in adj[v] if w not in mate)
+            if v not in mate and free:
+                w = rng.choice(free)
+                mate[v], mate[w] = w, v
+        want = exhaustive_max_matching(adj)
+        assert static_max_matching(adj) == want
+        assert static_max_matching(adj, mate) == want
+        for kind, start in _matching_starts(adj, mate):
+            assert static_max_matching(adj, start) == want, kind
+
+
+def test_starts_that_are_not_solutions_are_ignored():
+    # a path 0-1-2-3: the maximum matching has two pairs and the flow one unit
+    path = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
+    assert static_max_matching(path, {1: 2, 2: 1}) == 2  # valid, not maximum
+    assert static_max_matching(path, {0: 3, 3: 0}) == 2  # not an edge
+    assert static_max_matching(path, {0: 1, 1: 2, 2: 1}) == 2  # not symmetric
+    assert static_max_matching(path, {0: 9, 9: 0}) == 2  # not a vertex
+    vertices, arcs = range(4), [(0, 1), (1, 2), (2, 3)]
+    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1), (1, 2), (2, 3)]) == 1
+    assert static_max_flow(vertices, arcs, 0, 3, [(0, 3)]) == 1  # not an edge
+    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1), (0, 1), (1, 2), (2, 3)]) == 1  # used twice
+    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1)]) == 1  # not conserved
+    # parallel arcs may each carry a unit
+    assert static_max_flow(range(2), [(0, 1), (0, 1)], 0, 1, [(0, 1), (0, 1)]) == 2
+
+
+# -- --verify still catches a wrong answer ------------------------------------
+#
+# Each audit hands the oracle the module's own state.  A valid state one unit
+# short of the maximum must still fail, so the oracle must search on from its
+# start instead of trusting it.
+
+
+@pytest.mark.parametrize("algorithm", ["match-fd", "match-inc"])
+def test_verify_rejects_a_matching_one_pair_short(algorithm):
+    p_insert = 0.8 if algorithm == "match-fd" else 1.0
+    for seed in range(4):
+        spec = GenSpec("random-matching", n=30, events=200, seed=seed, p_insert=p_insert)
+        # the first state with a matched pair and a free vertex
+        alg = next(a for a in _replayed(algorithm, spec) if a.mate and len(a.mate) < len(a.g.adj))
+        assert alg.verify()
+        x = min(alg.mate)
+        del alg.mate[alg.mate.pop(x)]
+        assert not alg.verify()
+
+
+@pytest.mark.parametrize("algorithm", ["flow-fd", "flow-inc"])
+def test_flow_oracle_rejects_a_flow_one_unit_short(algorithm):
+    p_insert = 0.8 if algorithm == "flow-fd" else 1.0
+    for seed in range(4):
+        spec = GenSpec("random-flow", n=12, events=200, seed=seed, p_insert=p_insert)
+        net = next(net for net in _replayed(algorithm, spec) if net.F >= 2)
+        assert REGISTRY[algorithm].oracle(net, net) is None
+        for e in _st_path(net.flow, net.s, net.t):
+            net.flow[e] = 0
+        net.F -= 1
+        # the flags are a valid flow of value F, one short of the maximum
+        assert static_max_flow(net.vertices(), net.directed_edges(), net.s, net.t) == net.F + 1
+        assert REGISTRY["flow-fd"].oracle(net, net) == f"F={net.F}, oracle={net.F + 1}"
