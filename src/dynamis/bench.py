@@ -74,8 +74,7 @@ def _mis_oracle(alg, g) -> str | None:
 
 
 def _flow_oracle(alg, net) -> str | None:
-    carried = [e for e, f in net.flow.items() if f]
-    want = static_max_flow(net.vertices(), net.directed_edges(), net.s, net.t, carried)
+    want = static_max_flow(net.vertices(), net.directed_edges(), net.s, net.t)
     return None if net.F == want else f"F={net.F}, oracle={want}"
 
 

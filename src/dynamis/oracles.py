@@ -3,11 +3,12 @@
 Nothing here shares code with the dynamic modules it validates.
 ``dynamis run --verify`` calls ``is_mis``, ``static_max_flow`` and (through
 the matching audits) ``static_max_matching`` after every event, so those
-three are kept cheap.  The two exact oracles take an optional start, the
-module's own flow or matching, and search on from it when it is a valid
-solution: a maximum start then costs about one search instead of a full
+three are kept cheap.  ``static_max_flow`` computes its answer from
+scratch.  ``static_max_matching`` takes an optional start, the module's own
+matching, and searches on from it when it is a valid matching: a maximum
+start then costs about one pass over the graph instead of a full
 recomputation, while any start, or none, still yields the exact optimum, so
-a module whose state is valid but short of the optimum fails the check.  The
+a module whose matching is valid but short of the optimum fails the check.  The
 enumerations (``min_cut_enumerate``, ``exhaustive_max_matching``) are
 exponential and only cross-check the other oracles in tests.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 @dataclass
@@ -51,25 +52,12 @@ def static_mis(adj: Mapping[int, set[int]], order: Sequence[int] | None = None) 
 # -- unit-capacity max flow ----------------------------------------------
 
 
-def static_max_flow(
-    vertices: Iterable[int],
-    edges: Iterable[tuple[int, int]],
-    s: int,
-    t: int,
-    start: Collection[tuple[int, int]] = (),
-) -> int:
-    """Max-flow value by augmenting BFS (Edmonds-Karp, unit capacities).
+def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
+    """Max-flow value by repeated augmenting BFS from scratch (unit capacities).
 
     ``res[u][v]`` is the residual capacity of arc u->v.  A reverse arc gets
     its entry when flow first crosses its edge, so building the map costs one
     lookup per edge and a BFS scans one dict per vertex.
-
-    ``start`` lists the edges that carry a unit.  If they form a flow (each
-    one an edge of ``edges``, used at most as often as it occurs there, and
-    conserved at every vertex but ``s`` and ``t``), the search augments from
-    it, so a maximum start costs one BFS; otherwise it starts from zero.
-    Either way the result is the maximum, since a flow is maximum exactly
-    when its residual graph has no s-t path.
     """
     res: dict[int, dict[int, int]] = {v: {} for v in vertices}
     for u, v in edges:
@@ -77,7 +65,7 @@ def static_max_flow(
         out[v] = out.get(v, 0) + 1
     if s == t or s not in res or t not in res:
         return 0
-    value = _start_value(res, start, s, t) if start else 0
+    value = 0
     while True:
         prev: dict[int, int] = {s: s}
         queue = deque([s])
@@ -97,26 +85,6 @@ def static_max_flow(
             back[u] = back.get(u, 0) + 1
             v = u
         value += 1
-
-
-def _start_value(res: dict[int, dict[int, int]], start: Collection[tuple[int, int]], s: int, t: int) -> int:
-    """Push ``start`` into the fresh map ``res`` if it is a flow; its value, else 0."""
-    used: dict[tuple[int, int], int] = {}
-    balance: dict[int, int] = {}
-    for u, v in start:
-        k = used.get((u, v), 0) + 1
-        if u not in res or k > res[u].get(v, 0):
-            return 0
-        used[(u, v)] = k
-        balance[u] = balance.get(u, 0) - 1
-        balance[v] = balance.get(v, 0) + 1
-    if any(b for v, b in balance.items() if v != s and v != t):
-        return 0
-    for u, v in start:
-        res[u][v] -= 1
-        back = res[v]
-        back[u] = back.get(u, 0) + 1
-    return -balance.get(s, 0)
 
 
 def min_cut_enumerate(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:

@@ -114,12 +114,12 @@ def test_matching_matches_exhaustive_sampled():
 # The oracles run after every event under ``--verify``, so they are tuned:
 # residual maps in the max flow, and no temporary sets in ``is_mis``.  The
 # blossom matching works on the graph's own ids, seeds its searches with a
-# greedy maximal matching and skips the trees of failed searches.  Both exact
-# oracles also take a starting solution (the module's own state under
-# ``--verify``) and search on from it.  The reference copies below are the
-# untuned versions, kept verbatim; the tuned ones, cold and warm-started, must
-# agree with them on every state of seeded streams, and ``is_mis`` must give
-# the same detail messages.
+# greedy maximal matching and skips the trees of failed searches; it also
+# takes a starting matching (the module's own under ``--verify``) and searches
+# on from it.  The reference copies below are the untuned versions, kept
+# verbatim; the tuned ones, and the matching cold and warm-started, must agree
+# with them on every state of seeded streams, and ``is_mis`` must give the
+# same detail messages.
 
 
 def _reference_is_mis(adj, mis):
@@ -371,11 +371,11 @@ def test_min_cut_enumerate_edge_cases(case):
     assert _reference_static_max_flow(vertices, arcs, s, t) == value
 
 
-# -- warm starts ---------------------------------------------------------------
+# -- warm-started matching ----------------------------------------------------
 #
 # Every start, valid or not, must give the exact optimum: the module's own
-# state, a valid start one unit short of it, and starts that are no matching or
-# no flow at all, which the oracles must ignore.
+# matching, a valid start one pair short of it, and starts that are no
+# matching at all, which the oracle must ignore.
 
 
 def _replayed(algorithm, spec):
@@ -444,38 +444,6 @@ def _st_path(flow, s, t):
     return path
 
 
-def _flow_starts(net):
-    """(kind, start) pairs: one path's unit pulled back, a fake s-t edge, broken conservation."""
-    carried = [e for e, f in net.flow.items() if f]
-    s, t = net.s, net.t
-    if net.F:
-        path = set(_st_path(net.flow, s, t))
-        yield "short", [e for e in carried if e not in path]
-    if (s, t) not in net.flow:
-        # conserved, but carried on an edge the network does not have
-        yield "missing edge", carried + [(s, t)]
-    spare = next((e for e, f in net.flow.items() if not f and e[0] == s and e[1] != t), None)
-    if spare is not None:
-        yield "unbalanced", carried + [spare]
-
-
-@pytest.mark.parametrize("algorithm,p_insert", [("flow-fd", 0.7), ("flow-inc", 1.0)])
-def test_warm_flow_equals_cold_and_reference_on_every_stream_state(algorithm, p_insert):
-    kinds = {}
-    for seed in range(8):
-        spec = GenSpec("random-flow", n=8 + seed, events=120, seed=seed, p_insert=p_insert)
-        for net in _replayed(algorithm, spec):
-            vertices, edges = net.vertices(), net.directed_edges()
-            want = _reference_static_max_flow(vertices, edges, net.s, net.t)
-            assert static_max_flow(vertices, edges, net.s, net.t) == want == net.F
-            own = [e for e, f in net.flow.items() if f]
-            assert static_max_flow(vertices, edges, net.s, net.t, own) == want
-            for kind, start in _flow_starts(net):
-                assert static_max_flow(vertices, edges, net.s, net.t, start) == want, kind
-                kinds[kind] = kinds.get(kind, 0) + 1
-    assert min(kinds.values()) > 100 and len(kinds) == 3
-
-
 def test_warm_matching_equals_exhaustive_on_random_graphs():
     rng = random.Random(13)
     for _ in range(6000):
@@ -503,25 +471,19 @@ def test_warm_matching_equals_exhaustive_on_random_graphs():
 
 
 def test_starts_that_are_not_solutions_are_ignored():
-    # a path 0-1-2-3: the maximum matching has two pairs and the flow one unit
+    # a path 0-1-2-3: the maximum matching has two pairs
     path = {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
     assert static_max_matching(path, {1: 2, 2: 1}) == 2  # valid, not maximum
     assert static_max_matching(path, {0: 3, 3: 0}) == 2  # not an edge
     assert static_max_matching(path, {0: 1, 1: 2, 2: 1}) == 2  # not symmetric
     assert static_max_matching(path, {0: 9, 9: 0}) == 2  # not a vertex
-    vertices, arcs = range(4), [(0, 1), (1, 2), (2, 3)]
-    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1), (1, 2), (2, 3)]) == 1
-    assert static_max_flow(vertices, arcs, 0, 3, [(0, 3)]) == 1  # not an edge
-    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1), (0, 1), (1, 2), (2, 3)]) == 1  # used twice
-    assert static_max_flow(vertices, arcs, 0, 3, [(0, 1)]) == 1  # not conserved
-    # parallel arcs may each carry a unit
-    assert static_max_flow(range(2), [(0, 1), (0, 1)], 0, 1, [(0, 1), (0, 1)]) == 2
 
 
 # -- --verify still catches a wrong answer ------------------------------------
 #
-# Each audit hands the oracle the module's own state.  A valid state one unit
-# short of the maximum must still fail, so the oracle must search on from its
+# The matching audits hand the oracle the module's own matching; the flow
+# oracle computes the maximum from scratch.  A valid state one unit short of
+# the maximum must still fail, so the matching oracle must search on from its
 # start instead of trusting it.
 
 
