@@ -11,6 +11,16 @@ forces immediate tracking, degree above ceil(sqrt(m_c/2)) queues the vertex
 as a candidate, and one candidate is promoted per update so that every future
 heavy vertex is already tracked when the baseline halves.  Below a small m_c
 floor every vertex is tracked; the thresholds would be degenerate there.
+
+No index of tracked neighbors is kept: a vertex entering or leaving S reads
+``adj[v] & tracked``, which walks the smaller set, so it costs
+min(deg v, |tracked|) and is metered as such; outside eager mode
+|tracked| * ceil(sqrt(m_c/2)) <= 4m keeps that O(min(deg v, sqrt(m))).
+Promotion reads ``adj[v] & S`` once for the count, and demotion reads no
+adjacency, so a doubling of m that demotes many vertices at once reads only
+their degrees (unmetered).  That demotion builds a fresh ``tracked`` set: a
+set never shrinks its table on discard, and every later intersection would
+walk the old table.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ class ImplicitMis:
         self.in_S: set[int] = set()
         self.tracked: set[int] = set()
         self.hcount: dict[int, int] = {}
-        self.heavy_adj: dict[int, set[int]] = {v: set() for v in g.vertices()}
         self.candidates: set[int] = set()
         self.m_c = max(g.m, 1)
         self._set_thresholds()
@@ -107,8 +116,6 @@ class ImplicitMis:
                 return False
             if v in self.tracked and self.hcount[v] != len(g.adj[v] & self.in_S):
                 return False
-            if self.heavy_adj[v] != (g.adj[v] & self.tracked):
-                return False
             if v not in self.tracked and deg > self.cand_thresh and v not in self.candidates:
                 return False
         if not self.candidates.isdisjoint(self.tracked):
@@ -123,10 +130,6 @@ class ImplicitMis:
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
         self.meter.begin_op()
-        if u in self.tracked:
-            self.heavy_adj[v].add(u)
-        if v in self.tracked:
-            self.heavy_adj[u].add(v)
         for x in (u, v):
             deg = len(self.g.adj[x])
             if x not in self.tracked:
@@ -151,15 +154,12 @@ class ImplicitMis:
         if v in self.in_S and u in self.tracked:
             self.hcount[u] -= 1
             self.meter.touch()
-        self.heavy_adj[u].discard(v)
-        self.heavy_adj[v].discard(u)
         for x in (u, v):
             self._recheck_after_degree_drop(x)
 
     def _insert_isolated(self) -> int:
         v = self.g.insert_vertex(())
         self.meter.begin_op()
-        self.heavy_adj[v] = set()
         if self.eager:
             self._promote(v)
         return v
@@ -176,7 +176,6 @@ class ImplicitMis:
             self.tracked.discard(v)
             del self.hcount[v]
         self.candidates.discard(v)
-        del self.heavy_adj[v]
         self.g.delete_vertex(v)
 
     def _query(self, v: int) -> bool:
@@ -203,42 +202,34 @@ class ImplicitMis:
     def _enter_S(self, v: int) -> None:
         self.in_S.add(v)
         self.meter.adjust()
-        for x in self.heavy_adj[v]:
-            self.hcount[x] += 1
-        self.meter.touch(len(self.heavy_adj[v]))
+        nbrs, hcount = self.g.adj[v], self.hcount
+        for x in nbrs & self.tracked:
+            hcount[x] += 1
+        self.meter.touch(min(len(nbrs), len(self.tracked)))
 
     def _leave_S(self, v: int, log: AdjustmentLog) -> None:
         self.in_S.discard(v)
         self.meter.adjust()
         log.leave(v)
-        for x in self.heavy_adj[v]:
-            self.hcount[x] -= 1
-        self.meter.touch(len(self.heavy_adj[v]))
+        nbrs, hcount = self.g.adj[v], self.hcount
+        for x in nbrs & self.tracked:
+            hcount[x] -= 1
+        self.meter.touch(min(len(nbrs), len(self.tracked)))
 
     def _promote(self, v: int) -> None:
         self.tracked.add(v)
         self.candidates.discard(v)
         self.hcount[v] = len(self.g.adj[v] & self.in_S)
-        for w in self.g.adj[v]:
-            self.heavy_adj[w].add(v)
-        self.meter.touch(2 * len(self.g.adj[v]))
-
-    def _demote(self, v: int) -> None:
-        self.tracked.discard(v)
-        del self.hcount[v]
-        for w in self.g.adj[v]:
-            self.heavy_adj[w].discard(v)
         self.meter.touch(len(self.g.adj[v]))
-        if len(self.g.adj[v]) > self.cand_thresh:
-            self.candidates.add(v)
 
     def _recheck_after_degree_drop(self, v: int) -> None:
-        if self.eager:
+        if self.eager or len(self.g.adj[v]) > self.cand_thresh:
             return
-        deg = len(self.g.adj[v])
-        if v in self.tracked and deg <= self.cand_thresh:
-            self._demote(v)
-        elif v not in self.tracked and deg <= self.cand_thresh:
+        if v in self.tracked:
+            # demotion reads no adjacency
+            self.tracked.discard(v)
+            del self.hcount[v]
+        else:
             self.candidates.discard(v)
 
     def _process_one_candidate(self) -> None:
@@ -274,8 +265,12 @@ class ImplicitMis:
                         self._promote(v)
             return
         if grew:
-            for v in [v for v in self.tracked if len(self.g.adj[v]) <= self.cand_thresh]:
-                self._demote(v)
+            stale = {v for v in self.tracked if len(self.g.adj[v]) <= self.cand_thresh}
+            # a fresh set: discard never shrinks a set's table, and every
+            # adj[v] & tracked would walk the old one
+            self.tracked = self.tracked.difference(stale)
+            for v in stale:
+                del self.hcount[v]
             self.candidates = {v for v in self.candidates if len(self.g.adj[v]) > self.cand_thresh}
         else:
             for v in [v for v in self.candidates if len(self.g.adj[v]) > self.tau]:

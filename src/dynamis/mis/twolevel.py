@@ -7,7 +7,11 @@ neighbor in the light MIS.  The threshold is re-baselined whenever the edge
 count drifts by a factor of two since the phase started.
 
 Classification follows the current degree: a vertex crossing the threshold
-migrates immediately, paying one neighbor scan at the crossing.
+migrates at once.  No index of heavy neighbours is kept, so a migration
+itself reads no adjacency; it scans its neighbours only when it changes the
+light MIS.  The heavy MIS rebuild tests ``adj[v].isdisjoint(chosen)``, which
+walks the smaller set; ``chosen`` holds heavy vertices only, so each test
+costs at most min(deg v, |heavy|) and the rebuild at most |heavy|**2.
 
 ``light_count`` is a list indexed by vertex id, of length ``g.id_bound``:
 ids are dense and never reused, so a vertex insertion appends its count and
@@ -52,7 +56,6 @@ class TwoLevelMis:
         # phases; the phase set-up then rebuilds the non-isolated ones
         self.heavy: set[int] = set()
         self.heavy_mis: set[int] = set()
-        self.heavy_nbrs: dict[int, set[int]] = {v: set() for v in g.vertices()}
         self.light_M: set[int] = set(g.vertices())
         self._init_phase(self._non_isolated())
 
@@ -97,8 +100,6 @@ class TwoLevelMis:
         for v in g.vertices():
             if (v in self.heavy) != (len(g.adj[v]) >= self.delta_c):
                 return False
-            if self.heavy_nbrs[v] != (g.adj[v] & self.heavy):
-                return False
             if self.light_count[v] != len(g.adj[v] & self.light_M):
                 return False
         for v in self.light_M:
@@ -111,7 +112,7 @@ class TwoLevelMis:
         if not self.heavy_mis <= eligible:
             return False
         for v in eligible:
-            inside = self.heavy_nbrs[v] & self.heavy_mis
+            inside = g.adj[v] & self.heavy_mis
             if v in self.heavy_mis and inside:
                 return False
             if v not in self.heavy_mis and not inside:
@@ -128,20 +129,18 @@ class TwoLevelMis:
         """Re-baseline the phase over ``active``, the sorted non-isolated vertices.
 
         An isolated vertex is light, in ``light_M``, with ``light_count`` 0
-        and no heavy neighbours before and after any rebuild, so the rebuild
-        leaves it alone; zeroing the whole ``light_count`` list changes only
-        the active entries.  The greedy over ``active`` picks what a greedy
+        before and after any rebuild, so the rebuild leaves it alone; zeroing
+        the whole ``light_count`` list changes only the active entries.  The greedy over ``active`` picks what a greedy
         over all vertices would, and charges the same touches.
         """
         adj = self.g.adj
         self.m_c = max(self.g.m, 1)
         delta_c = self.delta_c = _ceil_pow_two_thirds(self.m_c)
         heavy = self.heavy = {v for v in active if len(adj[v]) >= delta_c}
-        light_M, heavy_nbrs = self.light_M, self.heavy_nbrs
+        light_M = self.light_M
         light_count: list[int] = [0] * self.g.id_bound
         self.light_count = light_count
         light_M.difference_update(active)
-        heavy_nbrs.update({v: adj[v] & heavy for v in active})
         touched = 0
         for v in active:
             if v not in heavy and light_count[v] == 0:
@@ -172,10 +171,6 @@ class TwoLevelMis:
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
         self.meter.begin_op()
-        if u in self.heavy:
-            self.heavy_nbrs[v].add(u)
-        if v in self.heavy:
-            self.heavy_nbrs[u].add(v)
         if u in self.light_M:
             self.light_count[v] += 1
         if v in self.light_M:
@@ -190,8 +185,6 @@ class TwoLevelMis:
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
         self.meter.begin_op()
-        self.heavy_nbrs[u].discard(v)
-        self.heavy_nbrs[v].discard(u)
         if u in self.light_M:
             self.light_count[v] -= 1
         if v in self.light_M:
@@ -208,13 +201,9 @@ class TwoLevelMis:
         v = self.g.insert_vertex(neighbors)
         self.meter.begin_op()
         self.light_count.append(sum(1 for w in neighbors if w in self.light_M))
-        self.heavy_nbrs[v] = {w for w in neighbors if w in self.heavy}
         self.meter.touch(len(neighbors))
         if len(neighbors) >= self.delta_c:
             self.heavy.add(v)
-            for w in neighbors:
-                self.heavy_nbrs[w].add(v)
-            self.meter.touch(len(neighbors))
         for w in neighbors:
             if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
                 self._migrate_to_heavy(w, log)
@@ -227,18 +216,13 @@ class TwoLevelMis:
         nbrs = sorted(self.g.adj[v])
         if v in self.light_M:
             self._light_leave(v, log)
-        if v in self.heavy:
-            self.heavy.discard(v)
-            for w in nbrs:
-                self.heavy_nbrs[w].discard(v)
-            self.meter.touch(len(nbrs))
+        self.heavy.discard(v)
         if v in self.heavy_mis:
             self.heavy_mis.discard(v)
             self.meter.adjust()
             log.leave(v)
         self.g.delete_vertex(v)
         self.light_count[v] = 0
-        del self.heavy_nbrs[v]
         for w in nbrs:
             if w in self.heavy and len(self.g.adj[w]) < self.delta_c:
                 self._migrate_to_light(w, log)
@@ -248,9 +232,6 @@ class TwoLevelMis:
 
     def _migrate_to_heavy(self, v: int, log: AdjustmentLog) -> None:
         self.heavy.add(v)
-        for w in self.g.adj[v]:
-            self.heavy_nbrs[w].add(v)
-        self.meter.touch(len(self.g.adj[v]))
         if v in self.light_M:
             self._light_leave(v, log)
             self._admit_light_zeros(self.g.adj[v], log)
@@ -258,9 +239,6 @@ class TwoLevelMis:
     def _migrate_to_light(self, v: int, log: AdjustmentLog) -> None:
         self.heavy.discard(v)
         self.heavy_mis.discard(v)
-        for w in self.g.adj[v]:
-            self.heavy_nbrs[w].discard(v)
-        self.meter.touch(len(self.g.adj[v]))
         if self.light_count[v] == 0:
             self._light_enter(v, log)
 
@@ -295,13 +273,14 @@ class TwoLevelMis:
             # the greedy would touch nothing and choose nothing
             self.last_heavy_rebuild_touches = 0
             return
+        adj, light_count = self.g.adj, self.light_count
         touched = 0
         chosen: set[int] = set()
         for v in sorted(self.heavy):
-            if self.light_count[v] != 0:
+            if light_count[v] != 0:
                 continue
-            touched += len(self.heavy_nbrs[v])
-            if self.heavy_nbrs[v].isdisjoint(chosen):
+            touched += min(len(adj[v]), len(chosen))
+            if adj[v].isdisjoint(chosen):
                 chosen.add(v)
         self.meter.touch(touched)
         self.last_heavy_rebuild_touches = touched

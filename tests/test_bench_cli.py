@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,19 @@ def test_cli_main_repeats_in_one_process(tmp_path, capsys):
     # options given in one call do not leak into the next
     assert main(["gen", "--family", "random-edges", "--n", "6", "--events", "5"]) == 0
     assert capsys.readouterr().out.count("\n") == 6
+
+
+def test_python_m_dynamis_runs_from_source(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def dynamis(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dynamis", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+
+    gen = dynamis("gen", "--family", "random-edges", "--n", "6", "--events", "20", "--seed", "1")
+    assert gen.returncode == 0, gen.stderr
+    assert len(parse_stream(gen.stdout).events) == 20
+    missing = dynamis("run", "mis-simple", str(tmp_path / "absent.txt"))
+    assert missing.returncode == 2
+    assert "Traceback" not in missing.stderr

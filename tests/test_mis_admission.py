@@ -2,11 +2,13 @@
 
 Each reference subclass keeps the earlier code verbatim: admission sorts the
 whole candidate set and tests every member, and mis-2level's phase rebuild
-walks every vertex.  Two things follow the current handlers: liveness is
-tested with ``g.is_live``, since the counts are id-indexed lists, and an
+walks every vertex.  Three things follow the current handlers: liveness is
+tested with ``g.is_live``, since the counts are id-indexed lists, an
 overridden handler begins the metered operation once the graph accepts the
-event.  Every ``apply`` must log the same changes in the same
-order and charge the same ``edges_touched`` as the real class.
+event, and mis-2level's reference keeps no index of heavy neighbours, so a
+heavy vertex insertion charges a single pass over its neighbours.  Every
+``apply`` must log the same changes in the same order and charge the same
+``edges_touched`` as the real class.
 """
 
 import pytest
@@ -49,7 +51,6 @@ class ReferenceTwoLevelMis(TwoLevelMis):
         self.m_c = max(g.m, 1)
         self.delta_c = _ceil_pow_two_thirds(self.m_c)
         self.heavy = {v for v in g.vertices() if len(g.adj[v]) >= self.delta_c}
-        self.heavy_nbrs = {v: g.adj[v] & self.heavy for v in g.vertices()}
         self.light_M = set()
         self.light_count = {v: 0 for v in g.vertices()}
         for v in sorted(g.vertices()):
@@ -76,8 +77,6 @@ class ReferenceTwoLevelMis(TwoLevelMis):
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
         self.meter.begin_op()
-        self.heavy_nbrs[u].discard(v)
-        self.heavy_nbrs[v].discard(u)
         if u in self.light_M:
             self.light_count[v] -= 1
         if v in self.light_M:
@@ -91,13 +90,9 @@ class ReferenceTwoLevelMis(TwoLevelMis):
         v = self.g.insert_vertex(neighbors)
         self.meter.begin_op()
         self.light_count[v] = sum(1 for w in neighbors if w in self.light_M)
-        self.heavy_nbrs[v] = {w for w in neighbors if w in self.heavy}
         self.meter.touch(len(neighbors))
         if len(neighbors) >= self.delta_c:
             self.heavy.add(v)
-            for w in neighbors:
-                self.heavy_nbrs[w].add(v)
-            self.meter.touch(len(neighbors))
         for w in neighbors:
             if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
                 self._migrate_to_heavy(w, log)

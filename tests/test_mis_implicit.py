@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from dynamis import DeleteEdge, DeleteVertex, DynGraph, ImplicitMis, InsertEdge, InsertVertex
+from dynamis.bench import stream_for_size
 from dynamis.errors import MissingEdgeError, VertexUpdateUnsupportedError
 from dynamis.mis.implicit import EAGER_FLOOR, _ceil_sqrt
 from dynamis.oracles import is_mis
@@ -184,3 +186,29 @@ def test_missing_edge_delete_leaves_counts_intact():
     with pytest.raises(MissingEdgeError):
         alg.apply(DeleteEdge(0, 1))
     assert alg.verify()
+
+
+def test_growth_demotion_leaves_a_compact_tracked_set():
+    # Eager mode tracks all 2,000 vertices; at m = 64 every one is demoted.
+    # A set never shrinks its table on discard, and every adj[v] & tracked
+    # would walk the left-over table, so the demotion builds a fresh set.
+    alg = ImplicitMis(DynGraph(2000))
+    for i in range(EAGER_FLOOR):
+        alg.apply(InsertEdge(2 * i, 2 * i + 1))
+    assert not alg.eager
+    assert sys.getsizeof(alg.tracked) == sys.getsizeof(set(alg.tracked))
+
+
+@pytest.mark.parametrize("family", ["arbitrary-removal", "random-edges", "degree-biased"])
+def test_growth_keeps_the_worst_case_bound(family):
+    # The paper's O(min(Δ, √m)) per operation, on the growth side: each
+    # doubling of m demotes the stale tracked vertices without reading
+    # their adjacency.
+    for m in (4096, 16384, 65536):
+        stream = stream_for_size(family, m)
+        alg = ImplicitMis(DynGraph(stream.n))
+        for event in stream.events:
+            alg.apply(event)
+        max_degree = max(map(len, alg.g.adj.values()))
+        bound = 2 * min(max_degree, _ceil_sqrt(m))
+        assert alg.meter.max_op_edges_touched <= bound, (m, alg.meter.max_op_edges_touched, bound)

@@ -228,7 +228,7 @@ def test_heavy_rebuild_budget(seed):
         assert alg.last_heavy_rebuild_touches <= max(bound, 1)
 
 
-_PHASE_STATE = ("light_M", "heavy", "heavy_mis", "light_count", "heavy_nbrs", "m_c", "delta_c")
+_PHASE_STATE = ("light_M", "heavy", "heavy_mis", "light_count", "m_c", "delta_c")
 
 
 def _assert_rebuilds_match_fresh(stream):
