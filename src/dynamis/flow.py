@@ -60,7 +60,7 @@ from .meter import CostMeter
 from .stream import DeleteEdge, InsertEdge, InsertVertex, UpdateEvent
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowDelta:
     dF: int
     path: list[int] | None = None
@@ -135,7 +135,24 @@ class FlowNetwork:
         )
 
     def insert_edge(self, u: int, v: int) -> FlowDelta:
-        self._add_edge(u, v)
+        """Insert the empty edge (u,v); the tree grows only if u is in it and v is not.
+
+        A self-loop, an unknown tail, an unknown head and a duplicate edge
+        are rejected in that order, before anything changes.  Each endpoint
+        is looked up once, and ``_require`` names the unknown one only after
+        a lookup misses.
+        """
+        if u == v:
+            raise SelfLoopError(f"self-loop at {u}")
+        out_u, in_v = self.res_out.get(u), self.res_in.get(v)
+        if out_u is None or in_v is None:
+            self._require(u)
+            self._require(v)
+        if (u, v) in self.flow:
+            raise ParallelEdgeError(f"edge ({u},{v}) already present")
+        self.flow[(u, v)] = 0
+        out_u.add(v)
+        in_v.add(u)
         self.meter.begin_op()
         self.meter.updates += 1
         self.meter.touch(1)
@@ -237,17 +254,6 @@ class FlowNetwork:
         return hung == len(self.in_tree)
 
     # -- internals -------------------------------------------------------
-
-    def _add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise SelfLoopError(f"self-loop at {u}")
-        self._require(u)
-        self._require(v)
-        if (u, v) in self.flow:
-            raise ParallelEdgeError(f"edge ({u},{v}) already present")
-        self.flow[(u, v)] = 0
-        self.res_out[u].add(v)
-        self.res_in[v].add(u)
 
     def _drop_arc(self, a: int, b: int) -> None:
         """Remove the residual arc a->b unless an edge still gives it."""

@@ -62,24 +62,31 @@ class DynGraph:
 
     # -- updates ---------------------------------------------------------
 
+    # The edge updates look each endpoint up once and name the unknown one
+    # through _require only after a lookup misses.
+
     def insert_edge(self, u: int, v: int) -> None:
         if u == v:
             raise SelfLoopError(f"self-loop at {u}")
-        self._require(u)
-        self._require(v)
-        if v in self.adj[u]:
+        nu, nv = self.adj.get(u), self.adj.get(v)
+        if nu is None or nv is None:
+            self._require(u)
+            self._require(v)
+        if v in nu:
             raise ParallelEdgeError(f"edge ({u},{v}) already present")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
+        nu.add(v)
+        nv.add(u)
         self.m += 1
 
     def delete_edge(self, u: int, v: int) -> None:
-        self._require(u)
-        self._require(v)
-        if v not in self.adj[u]:
+        nu, nv = self.adj.get(u), self.adj.get(v)
+        if nu is None or nv is None:
+            self._require(u)
+            self._require(v)
+        if v not in nu:
             raise MissingEdgeError(f"edge ({u},{v}) not present")
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        nu.discard(v)
+        nv.discard(u)
         self.m -= 1
 
     def insert_vertex(self, neighbors: Iterable[int] = ()) -> int:

@@ -25,8 +25,14 @@ two trees.
 
 A deletion or a vertex update searches from the endpoints it freed: only
 paths ending there can augment, and at most one does.  Augmentations,
-deletions, vertex updates and these searches leave the forest stale; it is
-rebuilt at the next insertion that needs it.
+vertex updates and these searches leave the forest stale; it is rebuilt at
+the next insertion that needs it.  A deletion leaves it stale only if the
+edge is matched or a parent pointer (``parent[x] == y`` or
+``parent[y] == x``).  Every unmatched edge that a walk or a blossom cycle
+relies on is such a pointer; a blossom's closing edge is recorded on at
+least one side, since its endpoints have different bases.  Deleting any
+other edge leaves a complete forest complete, its roots still the free
+vertices.
 
 The forest meters every adjacency scan it makes.  A stage is the span of
 updates that ends when the matching grows; ``stage_touches`` records the
@@ -51,7 +57,7 @@ EVEN = 0
 ODD = 1
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchDelta:
     delta: int
     flipped: list[tuple[int, int]] = field(default_factory=list)
@@ -65,9 +71,10 @@ class DynamicMatching:
     blossom's base.  ``parent`` links an odd vertex to the even vertex it
     hangs from, and an even vertex on a contracted cycle to its neighbour
     on the cycle towards the edge that closed it (an endpoint of that edge
-    to the other).  ``_queue`` holds even vertices not scanned yet.  While ``_stale`` is false the forest's roots are all
-    the free vertices; ``augment_from`` grows one from a single root and
-    leaves it stale.
+    to the other).  ``_queue`` holds even vertices not scanned yet.  While
+    ``_stale`` is false the forest is complete and its roots are all the
+    free vertices; ``augment_from`` grows one from a single root and leaves
+    it stale.
     """
 
     def __init__(self, g: DynGraph):
@@ -125,7 +132,8 @@ class DynamicMatching:
             x, y = event.u, event.v
             self.g.delete_edge(x, y)
             self.meter.begin_op()
-            self._stale = True
+            if self.parent.get(x) == y or self.parent.get(y) == x:
+                self._stale = True  # a walk or a blossom cycle may have used the edge
             if self.mate.get(x) == y:
                 del self.mate[x]
                 del self.mate[y]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class CostMeter:
     edges_touched: int = 0
     adjustments: int = 0
@@ -55,7 +55,7 @@ class CostMeter:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class AdjustmentLog:
     """Vertices that left and entered the maintained set, in processing order.
 

@@ -186,13 +186,9 @@ class ImplicitMis:
                 return False
             self._enter_S(v)
             return True
-        blocked = False
-        for w in sorted(self.g.adj[v]):
-            if w in self.in_S:
-                blocked = True
-                break
-        self.meter.touch(len(self.g.adj[v]))
-        if blocked:
+        nbrs = self.g.adj[v]
+        self.meter.touch(len(nbrs))
+        if not nbrs.isdisjoint(self.in_S):
             return False
         self._enter_S(v)
         return True

@@ -143,13 +143,13 @@ class SimpleMis:
         self.g.delete_vertex(v)
         count = self.count
         count[v] = 0
+        self.meter.touch(len(nbrs))  # the walk over v's neighbours, member or not
         if was_member:
             self.in_M.discard(v)
             self.meter.adjust()
             log.leave(v)
             for w in nbrs:
                 count[w] -= 1
-            self.meter.touch(len(nbrs))
             self._admit_zeros(nbrs, log)
 
     # -- internals -------------------------------------------------------

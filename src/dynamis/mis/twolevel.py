@@ -214,8 +214,12 @@ class TwoLevelMis:
         self.g._require(v)
         self.meter.begin_op()
         nbrs = sorted(self.g.adj[v])
+        # the walk over v's neighbours costs deg v once, charged by the leave
+        # when v is in the light MIS
         if v in self.light_M:
             self._light_leave(v, log)
+        else:
+            self.meter.touch(len(nbrs))
         self.heavy.discard(v)
         if v in self.heavy_mis:
             self.heavy_mis.discard(v)

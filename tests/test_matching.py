@@ -13,6 +13,7 @@ from dynamis import (
     QueryInMis,
 )
 from dynamis.errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
+from dynamis.matching import EVEN
 from dynamis.generators import gen_random_edges
 from dynamis.oracles import exhaustive_max_matching, static_max_matching
 from test_flow import CountingSet
@@ -402,6 +403,106 @@ def test_augment_on_graph_with_deleted_ids(seed):
     for v in g.vertices():
         if v not in mate:
             assert alg.augment_from(v) is None
+
+
+# -- a complete forest survives deletions it never used ----------------------
+
+
+def _audit_forest(alg):
+    """Test-only audit of a forest that is not stale.
+
+    Its roots are exactly the free vertices and nothing is queued; no even
+    vertex has an edge to an even vertex of another tree or to an unlabelled
+    vertex; and from every even vertex the walk x, mate[x], parent[mate[x]],
+    ... runs over edges of the graph, unmatched ones from parent pointers, up
+    to its own tree's root, the only free vertex on it.
+    """
+    g, mate, label, root, parent, dsu = alg.g, alg.mate, alg.label, alg.root, alg.parent, alg.dsu
+
+    def base(v):
+        while v in dsu:
+            v = dsu[v]
+        return v
+
+    free = g.adj.keys() - mate.keys()
+    assert not alg._queue
+    assert set(root.values()) == free
+    assert all(label.get(v) == EVEN and root[v] == v for v in free)
+    for x in g.adj:
+        if label.get(base(x)) != EVEN:
+            continue
+        tree = root[base(x)]
+        for w in g.adj[x]:
+            lw = label.get(base(w))
+            assert lw is not None, (x, w)
+            assert lw != EVEN or root[base(w)] == tree, (x, w)
+        y, steps = mate.get(x), 0
+        while y is not None:
+            z = parent[y]
+            assert g.has_edge(y, z) and mate[y] != z, (x, y, z)
+            y = mate.get(z)
+            steps += 1
+            assert steps <= len(g.adj), "the walk does not reach a root"
+        assert z == tree if steps else x == tree
+
+
+def test_deleting_an_edge_outside_the_forest_keeps_it():
+    # 0=1 and 2=3 matched, 4 and 5 free; the forest hangs 0 from 4 and 2
+    # from 1, so 4-0=1-2=3 is one tree, 5 another, and (0,2) joins two odd
+    # vertices
+    g = build(6, [(0, 1), (2, 3), (1, 2), (0, 2)])
+    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    assert alg.apply(InsertEdge(4, 0)).delta == 0
+    assert not alg._stale and alg.parent == {0: 4, 2: 1}
+    _audit_forest(alg)
+    before = alg.meter.edges_touched
+    assert alg.apply(DeleteEdge(0, 2)).delta == 0
+    assert not alg._stale and alg.meter.edges_touched == before
+    _audit_forest(alg)
+    # the kept forest closes 4-0=1-2=3-5 with the next edge alone
+    delta = alg.apply(InsertEdge(3, 5))
+    assert delta.delta == 1 and alg.meter.op_edges_touched == 1
+    assert delta.flipped == [(0, 4), (1, 2), (3, 5)]
+    _check_matching(alg)
+
+
+@pytest.mark.parametrize("edge", [(1, 2), (0, 4), (2, 1)])
+def test_deleting_a_forest_edge_leaves_it_stale(edge):
+    g = build(5, [(0, 1), (2, 3), (1, 2)])
+    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    alg.apply(InsertEdge(4, 0))
+    assert not alg._stale
+    alg.apply(DeleteEdge(*edge))
+    assert alg._stale
+    _check_matching(alg)
+
+
+def test_deleting_a_matched_edge_leaves_it_stale():
+    g = build(5, [(0, 1), (2, 3), (1, 2)])
+    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    alg.apply(InsertEdge(4, 0))
+    alg.apply(DeleteEdge(3, 2))
+    assert alg._stale
+    _check_matching(alg)
+
+
+def test_kept_forest_fuzz():
+    # 1,000 seeded streams, 40% deletions: the matching is maximum after
+    # every event, and whenever the forest is not stale it passes the audit
+    kept = 0
+    for seed in range(1000):
+        n = 4 + seed % 11
+        stream = gen_random_edges(n, 40, seed=5000 + seed, p_insert=0.6)
+        alg = DynamicMatching(DynGraph(n))
+        for event in stream.events:
+            fresh = not alg._stale
+            alg.apply(event)
+            if fresh and not alg._stale and isinstance(event, DeleteEdge):
+                kept += 1
+            assert alg.cardinality == static_max_matching(alg.g.adj), (seed, event)
+            if not alg._stale:
+                _audit_forest(alg)
+    assert kept >= 1000, kept
 
 
 def _k5_40():

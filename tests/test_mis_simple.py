@@ -58,6 +58,19 @@ def test_delete_mis_center_of_star():
     assert alg.mis() == {1, 2, 3}
 
 
+@pytest.mark.parametrize("hub", [0, 40])
+def test_vertex_deletion_charges_its_degree_once(hub):
+    # a 40-leaf star: hub 0 enters the MIS first, hub 40 is blocked by its
+    # leaves; either way deleting it walks its 40 neighbours once
+    g = build(41, [(hub, w) for w in range(41) if w != hub])
+    alg = SimpleMis(g)
+    assert (hub in alg.mis()) == (hub == 0)
+    log = alg.apply(DeleteVertex(hub))
+    assert log.edges_touched == 40
+    assert alg.mis() == set(range(41)) - {hub}
+    assert alg.verify()
+
+
 def test_delete_edge_no_adjustment():
     alg = SimpleMis(build(3, [(0, 1), (1, 2)]))
     log = alg.apply(DeleteEdge(0, 1))

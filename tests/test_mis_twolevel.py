@@ -52,6 +52,29 @@ def test_hub_is_heavy():
     assert is_mis(g.adj, alg.mis()).ok
 
 
+# (edges, hub, in the light MIS, heavy): a heavy 40-leaf hub (m = 40,
+# delta_c = 12), and a light degree-3 hub beside ten background edges
+# (m = 13, delta_c = 6) that enters the light MIS first (hub 0) or is
+# blocked by its leaves (hub 3)
+_BACKGROUND = [(v, v + 1) for v in range(4, 24, 2)]
+HUBS = (
+    ([(0, w) for w in range(1, 41)], 0, False, True),
+    ([(0, w) for w in (1, 2, 3)] + _BACKGROUND, 0, True, False),
+    ([(3, w) for w in (0, 1, 2)] + _BACKGROUND, 3, False, False),
+)
+
+
+@pytest.mark.parametrize("edges,hub,member,heavy", HUBS)
+def test_vertex_deletion_charges_its_degree_once(edges, hub, member, heavy):
+    g = build(1 + max(max(e) for e in edges), edges)
+    alg = TwoLevelMis(g)
+    assert (hub in alg.light_M, hub in alg.heavy) == (member, heavy)
+    deg = len(g.adj[hub])
+    log = alg.apply(DeleteVertex(hub))
+    assert log.edges_touched == deg
+    assert alg.verify() and is_mis(alg.g.adj, alg.mis()).ok
+
+
 def _blocked_leaf_hub():
     # hub 0 adjacent to the blocked endpoint of four light pairs: m=8,
     # delta_c=4, the hub is heavy with light_count 0 and joins the heavy MIS

@@ -18,10 +18,14 @@ from dynamis import (
     IncrementalMis,
     InsertEdge,
     InsertVertex,
+    MissingEdgeError,
     NotIncrementalError,
+    ParallelEdgeError,
     QueryInMis,
+    SelfLoopError,
     SimpleMis,
     TwoLevelMis,
+    UnknownVertexError,
 )
 
 
@@ -100,3 +104,61 @@ def test_rejected_event_leaves_state_unchanged(name, event):
     with pytest.raises(DynamisError):
         alg.apply(event)
     assert pickle.dumps(alg) == before
+
+
+# Direct calls: the edge updates of DynGraph and FlowNetwork reject in the
+# order self-loop, unknown tail, unknown head, then a parallel or missing
+# edge, with these errors and messages, and change nothing.
+
+GRAPH_REJECTED = (
+    ("insert_edge", (2, 2), SelfLoopError, "self-loop at 2"),
+    ("insert_edge", (3, 3), SelfLoopError, "self-loop at 3"),
+    ("insert_edge", (3, 0), UnknownVertexError, "vertex 3 is not live"),
+    ("insert_edge", (0, 3), UnknownVertexError, "vertex 3 is not live"),
+    ("insert_edge", (3, 9), UnknownVertexError, "vertex 3 is not live"),
+    ("insert_edge", (9, 3), UnknownVertexError, "vertex 9 is not live"),
+    ("insert_edge", (0, 1), ParallelEdgeError, "edge (0,1) already present"),
+    ("insert_edge", (1, 0), ParallelEdgeError, "edge (1,0) already present"),
+    ("delete_edge", (3, 0), UnknownVertexError, "vertex 3 is not live"),
+    ("delete_edge", (0, 3), UnknownVertexError, "vertex 3 is not live"),
+    ("delete_edge", (3, 9), UnknownVertexError, "vertex 3 is not live"),
+    ("delete_edge", (3, 3), UnknownVertexError, "vertex 3 is not live"),
+    ("delete_edge", (0, 2), MissingEdgeError, "edge (0,2) not present"),
+    ("delete_edge", (2, 2), MissingEdgeError, "edge (2,2) not present"),
+)
+
+
+@pytest.mark.parametrize("method,args,error,message", GRAPH_REJECTED)
+def test_graph_rejects_in_order(method, args, error, message):
+    g = DynGraph(4)
+    g.insert_edge(0, 1)
+    g.delete_vertex(3)  # a retired id
+    before = pickle.dumps(g)
+    with pytest.raises(error) as info:
+        getattr(g, method)(*args)
+    assert type(info.value) is error and str(info.value) == message
+    assert pickle.dumps(g) == before
+
+
+FLOW_REJECTED = (
+    ((1, 1), SelfLoopError, "self-loop at 1"),
+    ((9, 9), SelfLoopError, "self-loop at 9"),
+    ((9, 1), UnknownVertexError, "vertex 9 is not live"),
+    ((1, 9), UnknownVertexError, "vertex 9 is not live"),
+    ((9, 7), UnknownVertexError, "vertex 9 is not live"),
+    ((7, 9), UnknownVertexError, "vertex 7 is not live"),
+    ((0, 1), ParallelEdgeError, "edge (0,1) already present"),
+)
+
+
+@pytest.mark.parametrize("args,error,message", FLOW_REJECTED)
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_flow_insertion_rejects_in_order(cls, args, error, message):
+    net = cls(4, 0, 3)
+    net.insert_edge(0, 1)
+    net.insert_edge(1, 0)  # anti-parallel edges are distinct
+    before = pickle.dumps(net)
+    with pytest.raises(error) as info:
+        net.insert_edge(*args)
+    assert type(info.value) is error and str(info.value) == message
+    assert pickle.dumps(net) == before
