@@ -26,13 +26,14 @@ two trees.
 A deletion or a vertex update searches from the endpoints it freed: only
 paths ending there can augment, and at most one does.  Augmentations,
 vertex updates and these searches leave the forest stale; it is rebuilt at
-the next insertion that needs it.  A deletion leaves it stale only if the
-edge is matched or a parent pointer (``parent[x] == y`` or
-``parent[y] == x``).  Every unmatched edge that a walk or a blossom cycle
-relies on is such a pointer; a blossom's closing edge is recorded on at
-least one side, since its endpoints have different bases.  Deleting any
-other edge leaves a complete forest complete, its roots still the free
-vertices.
+the next insertion that needs it.  An isolated new vertex is the exception:
+it joins a complete forest as a free one-vertex tree, which is all the
+forest lacks.  A deletion leaves it stale only if the edge is matched or a
+parent pointer (``parent[x] == y`` or ``parent[y] == x``).  Every unmatched
+edge that a walk or a blossom cycle relies on is such a pointer; a
+blossom's closing edge is recorded on at least one side, since its
+endpoints have different bases.  Deleting any other edge leaves a complete
+forest complete, its roots still the free vertices.
 
 The forest meters every adjacency scan it makes.  A stage is the span of
 updates that ends when the matching grows; ``stage_touches`` records the
@@ -47,11 +48,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
+from .errors import IncompatibleStreamError, NotFreeError
 from .graph import DynGraph
 from .meter import CostMeter
 from .oracles import static_max_matching
-from .stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
+from .stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent, require_insertion
 
 EVEN = 0
 ODD = 1
@@ -125,9 +126,10 @@ class DynamicMatching:
         elif isinstance(event, InsertVertex):
             v = self.g.insert_vertex(event.neighbors)
             self.meter.begin_op()
-            self._stale = True
-            if event.neighbors:  # an isolated vertex has no augmenting path
+            if event.neighbors:
                 flipped = self.augment_from(v) or []
+            else:  # an isolated vertex has no augmenting path
+                self._add_root(v)
         elif isinstance(event, DeleteEdge):
             x, y = event.u, event.v
             self.g.delete_edge(x, y)
@@ -186,6 +188,12 @@ class DynamicMatching:
         self.parent = {}
         self.dsu = {}
         self._queue = deque(roots)
+
+    def _add_root(self, v: int) -> None:
+        """Adds the new isolated vertex ``v`` to a complete forest as a one-vertex tree."""
+        if not self._stale:
+            self.label[v] = EVEN
+            self.root[v] = v
 
     def _grow(self) -> list[tuple[int, int]] | None:
         """Scan queued even vertices until the forest is complete or augments."""
@@ -306,12 +314,9 @@ class IncrementalMatching(DynamicMatching):
 
     def insert_vertex(self) -> int:
         v = self.g.insert_vertex(())
-        self._stale = True
+        self._add_root(v)
         return v
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
-        if isinstance(event, InsertVertex) and event.neighbors:
-            raise NotIncrementalError("only isolated vertex insertions are accepted")
-        if not isinstance(event, (InsertEdge, InsertVertex)):
-            raise NotIncrementalError(f"event {event!r} in incremental mode")
+        require_insertion(event)
         return DynamicMatching.apply(self, event)

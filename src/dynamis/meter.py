@@ -2,9 +2,7 @@
 
 ``edges_touched`` counts adjacency entries read or written inside algorithm
 logic (raw graph mutation is free), so totals line up with edge-touch
-accounting rather than wall time.  ``potential`` tracks the sum of degrees of
-vertices outside the maintained set, kept current by the simple MIS algorithm
-and audited by its verifier.
+accounting rather than wall time.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ class CostMeter:
     adjustments: int = 0
     updates: int = 0
     queries: int = 0
-    potential: int = 0
 
     # per-operation figures, reset by begin_op()
     op_edges_touched: int = 0

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from math import isqrt
 
-from ..errors import IncompatibleStreamError, VertexUpdateUnsupportedError
+from ..errors import VertexUpdateUnsupportedError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
-from ..stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
+from .base import UpdateLoop
 
 EAGER_FLOOR = 64
 
@@ -39,7 +39,7 @@ def _ceil_sqrt(x: int) -> int:
     return 0 if x <= 0 else isqrt(x - 1) + 1
 
 
-class ImplicitMis:
+class ImplicitMis(UpdateLoop):
     def __init__(self, g: DynGraph):
         self.g = g
         self.meter = CostMeter()
@@ -69,30 +69,7 @@ class ImplicitMis:
     def independent_set(self) -> set[int]:
         return set(self.in_S)
 
-    def apply(self, event: UpdateEvent) -> AdjustmentLog:
-        if isinstance(event, QueryInMis):
-            raise IncompatibleStreamError("queries go through in_mis_query")
-        # each handler begins the operation once the graph accepts the event,
-        # so a rejected event leaves the meter as it was
-        log = AdjustmentLog()
-        if isinstance(event, InsertEdge):
-            self._insert_edge(event.u, event.v, log)
-        elif isinstance(event, DeleteEdge):
-            self.g.delete_edge(event.u, event.v)
-            self.meter.begin_op()
-            self._drop_edge(event.u, event.v)
-        elif isinstance(event, InsertVertex):
-            if event.neighbors:
-                raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
-            self._insert_isolated()
-        else:
-            self._delete_vertex(event.v, log)
-        self.meter.updates += 1
-        self._process_one_candidate()
-        self._epoch_transitions()
-        log.edges_touched = self.meter.op_edges_touched
-        self.meter.end_op()
-        return log
+    apply = UpdateLoop.apply
 
     def in_mis_query(self, v: int) -> bool:
         self.g._require(v)
@@ -133,7 +110,7 @@ class ImplicitMis:
         for x in (u, v):
             deg = len(self.g.adj[x])
             if x not in self.tracked:
-                if deg > self.tau or self.eager:
+                if deg > self.tau:
                     self._promote(x)
                 elif deg > self.cand_thresh:
                     self.candidates.add(x)
@@ -146,6 +123,11 @@ class ImplicitMis:
         if u in self.in_S and v in self.in_S:
             self._leave_S(max(u, v), log)
 
+    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+        self.g.delete_edge(u, v)
+        self.meter.begin_op()
+        self._drop_edge(u, v)
+
     def _drop_edge(self, u: int, v: int) -> None:
         """Bookkeeping for the edge (u, v), just deleted from the graph."""
         if u in self.in_S and v in self.tracked:
@@ -157,12 +139,13 @@ class ImplicitMis:
         for x in (u, v):
             self._recheck_after_degree_drop(x)
 
-    def _insert_isolated(self) -> int:
+    def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
+        if neighbors:
+            raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
         v = self.g.insert_vertex(())
         self.meter.begin_op()
         if self.eager:
             self._promote(v)
-        return v
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
@@ -228,12 +211,16 @@ class ImplicitMis:
         else:
             self.candidates.discard(v)
 
-    def _process_one_candidate(self) -> None:
-        if self.candidates and not self.eager:
-            c = min(self.candidates)
-            self.candidates.discard(c)
+    def _settle(self, log: AdjustmentLog) -> None:
+        candidates = self.candidates
+        if candidates and not self.eager:
+            c = min(candidates)
+            candidates.discard(c)
             if len(self.g.adj[c]) > self.cand_thresh:
                 self._promote(c)
+        m = self.g.m
+        if m >= 2 * self.m_c or (m <= self.m_c // 2 and self.m_c > 1):
+            self._epoch_transitions()
 
     def _epoch_transitions(self) -> None:
         m = self.g.m
@@ -250,15 +237,12 @@ class ImplicitMis:
         was_eager = self.eager
         self._set_thresholds()
         if self.eager:
+            # in eager mode every live vertex is tracked already
             if not was_eager:
                 for v in self.g.vertices():
                     if v not in self.tracked:
                         self._promote(v)
                 self.candidates.clear()
-            elif grew:
-                for v in self.g.vertices():
-                    if v not in self.tracked:
-                        self._promote(v)
             return
         if grew:
             stale = {v for v in self.tracked if len(self.g.adj[v]) <= self.cand_thresh}

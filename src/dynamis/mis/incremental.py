@@ -7,10 +7,9 @@ degree (ties evict the higher id).  Deletions are rejected.
 
 from __future__ import annotations
 
-from ..errors import NotIncrementalError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog
-from ..stream import InsertEdge, InsertVertex, UpdateEvent
+from ..stream import UpdateEvent, require_insertion
 from .simple import RemovalPolicy, SimpleMis
 
 
@@ -19,8 +18,5 @@ class IncrementalMis(SimpleMis):
         super().__init__(g, RemovalPolicy.LOWER_DEGREE)
 
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
-        if isinstance(event, InsertVertex) and event.neighbors:
-            raise NotIncrementalError("only isolated vertex insertions are accepted")
-        if not isinstance(event, (InsertEdge, InsertVertex)):
-            raise NotIncrementalError(f"{event!r} is not an insertion; incremental mode takes insertions only")
+        require_insertion(event)
         return super().apply(event)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import StreamParseError
+from .errors import NotIncrementalError, StreamParseError
 
 
 def _same_event(self, other) -> bool:
@@ -65,6 +65,14 @@ class QueryInMis(NamedTuple):
 
 
 UpdateEvent = InsertEdge | DeleteEdge | InsertVertex | DeleteVertex | QueryInMis
+
+
+def require_insertion(event: UpdateEvent) -> None:
+    """The guard of the insertion-only algorithms: edges and isolated vertices pass."""
+    if isinstance(event, InsertVertex) and event.neighbors:
+        raise NotIncrementalError("only isolated vertex insertions are accepted")
+    if not isinstance(event, (InsertEdge, InsertVertex)):
+        raise NotIncrementalError(f"{event!r} is not an insertion; incremental mode takes insertions only")
 
 
 @dataclass

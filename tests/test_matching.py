@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -479,22 +480,57 @@ def test_deleting_a_forest_edge_leaves_it_stale(edge):
 
 
 def test_kept_forest_fuzz():
-    # 1,000 seeded streams, 40% deletions: the matching is maximum after
-    # every event, and whenever the forest is not stale it passes the audit
-    kept = 0
+    # 1,000 seeded streams, 40% deletions, vertex churn on every third: the
+    # matching is maximum after every event, and whenever the forest is not
+    # stale it passes the audit
+    kept = Counter()
     for seed in range(1000):
         n = 4 + seed % 11
-        stream = gen_random_edges(n, 40, seed=5000 + seed, p_insert=0.6)
+        vertex_rate = 0.15 if seed % 3 == 0 else 0.0
+        stream = gen_random_edges(n, 40, seed=5000 + seed, p_insert=0.6, vertex_rate=vertex_rate)
         alg = DynamicMatching(DynGraph(n))
         for event in stream.events:
             fresh = not alg._stale
             alg.apply(event)
-            if fresh and not alg._stale and isinstance(event, DeleteEdge):
-                kept += 1
+            if fresh and not alg._stale:
+                kept[type(event)] += 1
             assert alg.cardinality == static_max_matching(alg.g.adj), (seed, event)
             if not alg._stale:
                 _audit_forest(alg)
-    assert kept >= 1000, kept
+    assert kept[DeleteEdge] >= 1000 and kept[InsertVertex] >= 50, kept
+
+
+def test_isolated_vertex_joins_a_kept_forest():
+    # the forest of test_deleting_an_edge_outside_the_forest_keeps_it
+    g = build(6, [(0, 1), (2, 3), (1, 2), (0, 2)])
+    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    alg.apply(InsertEdge(4, 0))
+    assert not alg._stale
+    assert alg.apply(InsertVertex(())).delta == 0
+    assert not alg._stale and alg.meter.op_edges_touched == 0
+    _audit_forest(alg)
+    # the new vertex 6 is a root: 4-0=1-2=3-6 closes with the edge alone
+    delta = alg.apply(InsertEdge(3, 6))
+    assert delta.delta == 1 and alg.meter.op_edges_touched == 1
+    assert delta.flipped == [(0, 4), (1, 2), (3, 6)]
+    _check_matching(alg)
+
+
+def test_incremental_isolated_vertex_joins_a_kept_forest():
+    inc = IncrementalMatching()
+    for _ in range(4):
+        inc.insert_vertex()
+    inc.apply(InsertEdge(0, 1))
+    inc.apply(InsertEdge(1, 2))  # grows the forest: 2 and 3 roots, 1 odd, 0 even
+    assert not inc._stale
+    inc.insert_vertex()
+    assert not inc._stale
+    _audit_forest(inc)
+    before = inc.meter.edges_touched
+    delta = inc.apply(InsertEdge(0, 4))  # 2-1=0-4
+    assert delta.delta == 1 and inc.meter.edges_touched - before == 1
+    assert delta.flipped == [(0, 4), (1, 2)]
+    _check_matching(inc)
 
 
 def _k5_40():

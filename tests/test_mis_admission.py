@@ -24,10 +24,6 @@ class ReferenceSimpleMis(SimpleMis):
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
         self.meter.begin_op()
-        if u not in self.in_M:
-            self.meter.potential -= 1
-        if v not in self.in_M:
-            self.meter.potential -= 1
         if u in self.in_M and v not in self.in_M:
             self.count[v] -= 1
             self._admit_zeros((v,), log)
@@ -51,13 +47,13 @@ class ReferenceTwoLevelMis(TwoLevelMis):
         self.m_c = max(g.m, 1)
         self.delta_c = _ceil_pow_two_thirds(self.m_c)
         self.heavy = {v for v in g.vertices() if len(g.adj[v]) >= self.delta_c}
-        self.light_M = set()
-        self.light_count = {v: 0 for v in g.vertices()}
+        self.in_M = set()
+        self.count = {v: 0 for v in g.vertices()}
         for v in sorted(g.vertices()):
-            if v not in self.heavy and self.light_count[v] == 0:
-                self.light_M.add(v)
+            if v not in self.heavy and self.count[v] == 0:
+                self.in_M.add(v)
                 for w in g.adj[v]:
-                    self.light_count[w] += 1
+                    self.count[w] += 1
                 self.meter.touch(len(g.adj[v]))
         self.heavy_mis = set()
         self.meter.touch(sum(len(g.adj[v]) for v in g.vertices()))
@@ -77,36 +73,36 @@ class ReferenceTwoLevelMis(TwoLevelMis):
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
         self.meter.begin_op()
-        if u in self.light_M:
-            self.light_count[v] -= 1
-        if v in self.light_M:
-            self.light_count[u] -= 1
+        if u in self.in_M:
+            self.count[v] -= 1
+        if v in self.in_M:
+            self.count[u] -= 1
         for x in (u, v):
             if x in self.heavy and len(self.g.adj[x]) < self.delta_c:
                 self._migrate_to_light(x, log)
-        self._admit_light_zeros((u, v), log)
+        self._admit_zeros((u, v), log)
 
     def _insert_vertex(self, neighbors, log):
         v = self.g.insert_vertex(neighbors)
         self.meter.begin_op()
-        self.light_count[v] = sum(1 for w in neighbors if w in self.light_M)
+        self.count[v] = sum(1 for w in neighbors if w in self.in_M)
         self.meter.touch(len(neighbors))
         if len(neighbors) >= self.delta_c:
             self.heavy.add(v)
         for w in neighbors:
             if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
                 self._migrate_to_heavy(w, log)
-        self._admit_light_zeros((v,), log)
+        self._admit_zeros((v,), log)
 
-    def _admit_light_zeros(self, candidates, log):
+    def _admit_zeros(self, candidates, log):
         for w in sorted(candidates):
             if (
                 self.g.is_live(w)
                 and w not in self.heavy
-                and w not in self.light_M
-                and self.light_count[w] == 0
+                and w not in self.in_M
+                and self.count[w] == 0
             ):
-                self._light_enter(w, log)
+                self._enter(w, log)
 
 
 PAIRS = {

@@ -212,3 +212,30 @@ def test_growth_keeps_the_worst_case_bound(family):
         max_degree = max(map(len, alg.g.adj.values()))
         bound = 2 * min(max_degree, _ceil_sqrt(m))
         assert alg.meter.max_op_edges_touched <= bound, (m, alg.meter.max_op_edges_touched, bound)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_eager_mode_tracks_every_live_vertex(seed):
+    # Below EAGER_FLOOR every live vertex is tracked after every event, also
+    # across the epochs that double m_c without leaving eager mode, so none
+    # of them needs a promotion pass.
+    rng = random.Random(300 + seed)
+    g = DynGraph(10)
+    alg = ImplicitMis(g)
+    eager_doublings = 0
+    for _ in range(400):
+        r = rng.random()
+        if r < 0.1:
+            event = InsertVertex(())
+        elif r < 0.15 and g.n > 2:
+            event = DeleteVertex(rng.choice(sorted(g.adj)))
+        else:
+            event = _edge_events(rng, g, queries=0)[1]
+            if event is None:
+                continue
+        m_c = alg.m_c
+        alg.apply(event)
+        eager_doublings += alg.eager and alg.m_c > m_c
+        if alg.eager:
+            assert alg.tracked == set(g.vertices()), event
+    assert eager_doublings >= 3

@@ -215,13 +215,3 @@ def test_decremental_work_bound(seed):
         alg.apply(DeleteEdge(u, v))
         assert alg.verify()
     assert alg.meter.edges_touched <= 8 * (m_initial + n)
-
-
-def test_potential_tracks_phi():
-    rng = random.Random(9)
-    g = DynGraph(8)
-    alg = SimpleMis(g)
-    for event in _random_stream(rng, 8, 150):
-        alg.apply(event)
-        recomputed = sum(len(g.adj[v]) for v in g.adj if v not in alg.in_M)
-        assert alg.meter.potential == recomputed

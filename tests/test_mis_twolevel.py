@@ -47,7 +47,7 @@ def test_hub_is_heavy():
     assert alg.delta_c == 3
     assert alg.heavy == {0}
     # every leaf is in the light MIS, so the hub is gated out of the heavy MIS
-    assert alg.light_count[0] == 5
+    assert alg.count[0] == 5
     assert alg.heavy_mis == set()
     assert is_mis(g.adj, alg.mis()).ok
 
@@ -68,7 +68,7 @@ HUBS = (
 def test_vertex_deletion_charges_its_degree_once(edges, hub, member, heavy):
     g = build(1 + max(max(e) for e in edges), edges)
     alg = TwoLevelMis(g)
-    assert (hub in alg.light_M, hub in alg.heavy) == (member, heavy)
+    assert (hub in alg.in_M, hub in alg.heavy) == (member, heavy)
     deg = len(g.adj[hub])
     log = alg.apply(DeleteVertex(hub))
     assert log.edges_touched == deg
@@ -77,7 +77,7 @@ def test_vertex_deletion_charges_its_degree_once(edges, hub, member, heavy):
 
 def _blocked_leaf_hub():
     # hub 0 adjacent to the blocked endpoint of four light pairs: m=8,
-    # delta_c=4, the hub is heavy with light_count 0 and joins the heavy MIS
+    # delta_c=4, the hub is heavy with count 0 and joins the heavy MIS
     edges = [(2, 3), (4, 5), (6, 7), (8, 9)] + [(0, w) for w in (3, 5, 7, 9)]
     return build(10, edges)
 
@@ -85,7 +85,7 @@ def _blocked_leaf_hub():
 def test_hub_with_blocked_neighbors_joins_heavy_mis():
     alg = TwoLevelMis(_blocked_leaf_hub())
     assert alg.heavy == {0}
-    assert alg.light_count[0] == 0
+    assert alg.count[0] == 0
     assert alg.heavy_mis == {0}
     assert is_mis(alg.g.adj, alg.mis()).ok
 
@@ -101,9 +101,9 @@ def test_insert_between_light_members():
 
 def test_insert_light_member_to_heavy():
     alg = TwoLevelMis(_blocked_leaf_hub())
-    assert 0 in alg.heavy_mis and 2 in alg.light_M
+    assert 0 in alg.heavy_mis and 2 in alg.in_M
     log = alg.apply(InsertEdge(2, 0))
-    assert alg.light_count[0] == 1
+    assert alg.count[0] == 1
     assert 0 not in alg.heavy_mis
     assert ("leave", 0) in log.changes
     assert alg.verify()
@@ -161,7 +161,7 @@ def test_verify_catches_stale_count():
     g = build(7, [(0, w) for w in range(1, 6)] + [(1, 6)])
     alg = TwoLevelMis(g)
     assert alg.verify()
-    alg.light_count[0] += 1
+    alg.count[0] += 1
     assert not alg.verify()
 
 
@@ -170,14 +170,14 @@ def test_light_counts_cover_every_id():
     alg = TwoLevelMis(g)
     alg.apply(InsertVertex((0, 2)))
     alg.apply(DeleteVertex(3))
-    assert len(alg.light_count) == g.id_bound == 5 and alg.light_count[3] == 0
+    assert len(alg.count) == g.id_bound == 5 and alg.count[3] == 0
     assert alg.verify()
 
 
 def test_verify_catches_short_light_count_list():
     alg = TwoLevelMis(build(3, [(0, 1)]))
     alg.apply(InsertVertex((1,)))
-    alg.light_count.pop()
+    alg.count.pop()
     assert not alg.verify()
 
 
@@ -185,21 +185,21 @@ def test_verify_catches_wrong_count_on_inserted_vertex():
     alg = TwoLevelMis(build(5, [(0, 1), (2, 3)]))
     alg.apply(InsertVertex((0, 2, 4)))
     v = alg.g.id_bound - 1
-    assert alg.light_count[v] >= 1 and alg.verify()
-    alg.light_count[v] += 1
+    assert alg.count[v] >= 1 and alg.verify()
+    alg.count[v] += 1
     assert not alg.verify()
 
 
 def test_verify_catches_gated_heavy_member():
     alg = TwoLevelMis(_blocked_leaf_hub())
     assert alg.verify()
-    alg.light_count[0] += 1  # 0 now looks gated but is still in heavy_mis
+    alg.count[0] += 1  # 0 now looks gated but is still in heavy_mis
     assert not alg.verify()
 
 
 def test_verify_catches_nonmaximal_light():
     alg = TwoLevelMis(build(4, [(0, 1)]))
-    alg.light_M.discard(2)
+    alg.in_M.discard(2)
     assert not alg.verify()
 
 
@@ -251,7 +251,7 @@ def test_heavy_rebuild_budget(seed):
         assert alg.last_heavy_rebuild_touches <= max(bound, 1)
 
 
-_PHASE_STATE = ("light_M", "heavy", "heavy_mis", "light_count", "m_c", "delta_c")
+_PHASE_STATE = ("in_M", "heavy", "heavy_mis", "count", "m_c", "delta_c")
 
 
 def _assert_rebuilds_match_fresh(stream):
