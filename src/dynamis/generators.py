@@ -1,5 +1,8 @@
 """Update-stream generators: adversarial worst cases and seeded random mixes.
 
+Every stream is a pure function of its family, parameters and seed: the same
+``GenSpec`` gives the same events, and so the same stream text, on every run.
+
 The two adversarial families drive the eviction policies into their
 worst-case regimes: ``arbitrary-removal`` makes first-endpoint eviction pay a
 full neighbor scan on almost every insertion, ``degree-biased`` does the same
@@ -7,6 +10,15 @@ for lower-degree eviction by padding one side with high-degree anchors.  Both
 are pure insertion streams organized in phases; vertex ids and endpoint
 orderings are part of the contract because the eviction policies key off
 them.
+
+The random families draw from one ``random.Random(seed)``.  Apart from the
+rare ``rng.sample`` of a new vertex's neighbours, their integer draws go
+through one helper, ``_draws``, whose ``below`` and ``two`` make exactly the
+``getrandbits`` calls that ``randrange``/``choice`` and ``sample(seq, 2)``
+make, so the streams are those of the plain ``random`` calls at a fraction of
+the interpreter steps.  A deleted edge is drawn by index from a sorted list of
+the live edges, kept by bisect; insertion-only streams (``p_insert >= 1``)
+never delete an edge and keep no sorted list.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 from .errors import GeneratorParameterError
 from .stream import (
@@ -85,11 +98,11 @@ def gen_arbitrary_removal(m: int, delta: int) -> UpdateStream:
     k = m // delta
     stream = UpdateStream(n=k + delta + 1)
     terminal = k + delta  # b_{delta+1}
+    events, new = stream.events, tuple.__new__
     for j in range(1, delta + 1):
         anchor = k + (j - 1)
-        for i in range(k):
-            stream.events.append(InsertEdge(i, anchor))
-        stream.events.append(InsertEdge(anchor, terminal))
+        events.extend([new(InsertEdge, (i, anchor)) for i in range(k)])
+        events.append(new(InsertEdge, (anchor, terminal)))
     return stream
 
 
@@ -114,22 +127,62 @@ def gen_degree_biased(m: int) -> UpdateStream:
     c_base = k + t + 1
     n = k + 1 + t + t * s
     stream = UpdateStream(n=n)
+    events, new = stream.events, tuple.__new__
     for j in range(1, t + 1):
         anchor = k + j  # b_j
-        for c in range(c_base + (j - 1) * s, c_base + j * s):
-            stream.events.append(InsertEdge(anchor, c))
-    for c in range(c_base, c_base + t * s):
-        stream.events.append(InsertEdge(b0, c))
+        events.extend([new(InsertEdge, (anchor, c)) for c in range(c_base + (j - 1) * s, c_base + j * s)])
+    events.extend([new(InsertEdge, (b0, c)) for c in range(c_base, c_base + t * s)])
     for j in range(1, t + 1):
         anchor = k + j
-        for i in range(k):
-            stream.events.append(InsertEdge(i, anchor))
-        stream.events.append(InsertEdge(anchor, b0))
+        events.extend([new(InsertEdge, (i, anchor)) for i in range(k)])
+        events.append(new(InsertEdge, (anchor, b0)))
     return stream
 
 
-def _discard_sorted(seq: list, item) -> None:
-    del seq[bisect_left(seq, item)]
+_TRIES = range(40)  # random draws per insertion before listing every free pair
+
+
+def _draws(rng: random.Random) -> tuple[Callable[[int], int], Callable[[list], tuple]]:
+    """``below(n)`` and ``two(seq)``, draw for draw equal to ``rng.randrange(n)``
+    and ``rng.sample(seq, 2)``.
+
+    Both repeat ``Random._randbelow`` (which ``randrange``, ``randint``,
+    ``choice`` and ``sample`` call) on the public ``rng.getrandbits``: draw
+    ``n.bit_length()`` bits until the value is below n.  ``two`` follows
+    ``sample``'s two branches for k = 2: a pool of ``seq`` up to 21 items,
+    rejection of a repeated index above that.  n must be at least 1, and
+    ``len(seq)`` at least 2.
+    """
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def two(seq: list) -> tuple:
+        n = len(seq)
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        if n <= 21:
+            # the pool branch: seq[i] is replaced by the last item, then one
+            # of the first n - 1 is drawn
+            last = n - 1
+            k = last.bit_length()
+            j = getrandbits(k)
+            while j >= last:
+                j = getrandbits(k)
+            return seq[i], seq[last if j == i else j]
+        j = getrandbits(k)
+        while j >= n or j == i:
+            j = getrandbits(k)
+        return seq[i], seq[j]
+
+    return below, two
 
 
 def gen_random_edges(
@@ -144,83 +197,82 @@ def gen_random_edges(
     if n < 2 or events < 0:
         raise GeneratorParameterError("need n >= 2 and events >= 0")
     rng = random.Random(seed)
+    below, two = _draws(rng)
+    draw = rng.random
+    insertion_only = p_insert >= 1.0  # then no edge is ever deleted
     live: list[int] = list(range(n))
     next_id = n
     edges: set[tuple[int, int]] = set()
-    edge_list: list[tuple[int, int]] = []  # sorted(edges), kept by bisect
+    edge_list: list[tuple[int, int]] = []  # sorted(edges), kept by bisect unless insertion_only
     adj: dict[int, set[int]] = {v: set() for v in live}
     stream = UpdateStream(n=n)
+    out = stream.events
+    append = out.append
+    new = tuple.__new__
 
-    def random_non_edge() -> tuple[int, int] | None:
-        for _ in range(40):
-            u, v = rng.sample(live, 2)
-            if u != v and (min(u, v), max(u, v)) not in edges:
-                return (u, v)
-        free = [
-            (u, v)
-            for i, u in enumerate(live)
-            for v in live[i + 1 :]
-            if (min(u, v), max(u, v)) not in edges
-        ]
-        return rng.choice(free) if free else None
-
-    while len(stream.events) < events:
-        r = rng.random()
+    while len(out) < events:
+        r = draw()
         if r < query_rate and live:
-            stream.events.append(QueryInMis(rng.choice(live)))
+            append(new(QueryInMis, (live[below(len(live))],)))
             continue
         if r < query_rate + vertex_rate:
-            if rng.random() < 0.5 or len(live) <= 2:
-                d = rng.randint(0, min(3, len(live)))
+            if draw() < 0.5 or len(live) <= 2:
+                d = below(min(3, len(live)) + 1)
                 nbrs = tuple(sorted(rng.sample(live, d)))
-                stream.events.append(InsertVertex(nbrs))
+                append(new(InsertVertex, (nbrs,)))
                 v = next_id
                 next_id += 1
                 adj[v] = set(nbrs)
                 for w in nbrs:
                     adj[w].add(v)
-                    e = (min(v, w), max(v, w))
+                    e = (w, v)  # w < v: v is the largest id so far
                     edges.add(e)
-                    insort(edge_list, e)
+                    if not insertion_only:
+                        insort(edge_list, e)
                 live.append(v)
             else:
-                v = rng.choice(live)
-                stream.events.append(DeleteVertex(v))
-                for w in adj[v]:
+                v = live.pop(below(len(live)))
+                append(new(DeleteVertex, (v,)))
+                for w in adj.pop(v):
                     adj[w].discard(v)
-                    e = (min(v, w), max(v, w))
-                    edges.discard(e)
-                    _discard_sorted(edge_list, e)
-                del adj[v]
-                live.remove(v)
+                    e = (w, v) if w < v else (v, w)
+                    edges.remove(e)
+                    if not insertion_only:
+                        del edge_list[bisect_left(edge_list, e)]
             continue
-        if (rng.random() < p_insert or not edges) and len(live) >= 2:
-            pair = random_non_edge()
-            if pair is None:
-                if p_insert >= 1.0:
-                    # saturated clique in insertion-only mode: grow instead
-                    stream.events.append(InsertVertex(()))
-                    v = next_id
-                    next_id += 1
-                    adj[v] = set()
-                    live.append(v)
-                    continue
-                if not edges:
-                    continue
+        if (draw() < p_insert or not edges) and len(live) >= 2:
+            for _ in _TRIES:
+                u, v = two(live)
+                e = (u, v) if u < v else (v, u)
+                if e not in edges:
+                    break
             else:
-                u, v = pair
-                stream.events.append(InsertEdge(u, v))
-                e = (min(u, v), max(u, v))
+                # live is increasing, so every listed pair is ordered
+                free = [(u, v) for i, u in enumerate(live) for v in live[i + 1 :] if (u, v) not in edges]
+                if free:
+                    u, v = e = free[below(len(free))]
+                elif insertion_only:
+                    # saturated clique in insertion-only mode: grow instead
+                    append(new(InsertVertex, ((),)))
+                    adj[next_id] = set()
+                    live.append(next_id)
+                    next_id += 1
+                    continue
+                else:
+                    e = None
+            if e is not None:
+                append(new(InsertEdge, (u, v)))
                 edges.add(e)
-                insort(edge_list, e)
+                if not insertion_only:
+                    insort(edge_list, e)
                 adj[u].add(v)
                 adj[v].add(u)
                 continue
         if edges:
-            u, v = rng.choice(edge_list)
-            stream.events.append(DeleteEdge(u, v))
-            edges.discard((u, v))
-            _discard_sorted(edge_list, (u, v))
+            e = edge_list.pop(below(len(edge_list)))
+            append(new(DeleteEdge, e))
+            edges.remove(e)
+            u, v = e
             adj[u].discard(v)
             adj[v].discard(u)
     return stream
@@ -231,40 +283,36 @@ def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> Up
     if n < 2 or events < 0:
         raise GeneratorParameterError("need n >= 2 and events >= 0")
     rng = random.Random(seed)
+    below, _ = _draws(rng)
+    draw = rng.random
+    insertion_only = p_insert >= 1.0  # then no arc is ever deleted
     arcs: set[tuple[int, int]] = set()
-    arc_list: list[tuple[int, int]] = []  # sorted(arcs), kept by bisect
+    arc_list: list[tuple[int, int]] = []  # sorted(arcs), kept by bisect unless insertion_only
     stream = UpdateStream(n=n, flow=(0, n - 1))
-    while len(stream.events) < events:
-        if rng.random() < p_insert or not arcs:
-            placed = False
-            for _ in range(40):
-                u = rng.randrange(n)
-                v = rng.randrange(n)
-                if u != v and (u, v) not in arcs:
-                    stream.events.append(InsertEdge(u, v))
-                    arcs.add((u, v))
-                    insort(arc_list, (u, v))
-                    placed = True
+    out = stream.events
+    append = out.append
+    new = tuple.__new__
+    while len(out) < events:
+        if draw() < p_insert or not arcs:
+            for _ in _TRIES:
+                arc = (below(n), below(n))
+                if arc[0] != arc[1] and arc not in arcs:
                     break
-            if placed:
-                continue
-            if p_insert >= 1.0:
-                free = [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(n)
-                    if u != v and (u, v) not in arcs
-                ]
-                if not free:
-                    break  # saturated in insertion-only mode: stop short
-                u, v = rng.choice(free)
-                stream.events.append(InsertEdge(u, v))
-                arcs.add((u, v))
-                insort(arc_list, (u, v))
+            else:
+                arc = None
+                if insertion_only:
+                    free = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in arcs]
+                    if not free:
+                        break  # saturated in insertion-only mode: stop short
+                    arc = free[below(len(free))]
+            if arc is not None:
+                append(new(InsertEdge, arc))
+                arcs.add(arc)
+                if not insertion_only:
+                    insort(arc_list, arc)
                 continue
         if arcs:
-            u, v = rng.choice(arc_list)
-            stream.events.append(DeleteEdge(u, v))
-            arcs.discard((u, v))
-            _discard_sorted(arc_list, (u, v))
+            arc = arc_list.pop(below(len(arc_list)))
+            append(new(DeleteEdge, arc))
+            arcs.remove(arc)
     return stream

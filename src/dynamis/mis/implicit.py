@@ -84,6 +84,8 @@ class ImplicitMis(UpdateLoop):
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):
             return False
+        if self.eager and self.tracked != g.adj.keys():  # eager mode tracks every live vertex
+            return False
         for v in self.in_S:
             if g.adj[v] & self.in_S:
                 return False

@@ -120,6 +120,14 @@ def test_audit_catches_stale_count():
     assert not alg.verify()
 
 
+def test_audit_catches_untracked_vertex_in_eager_mode():
+    alg = ImplicitMis(build(10, [(0, 1), (1, 2)]))
+    assert alg.eager and alg.verify()
+    # vertex 5 is isolated, so only the eager-mode check requires it tracked
+    alg.tracked.discard(5)
+    assert not alg.verify()
+
+
 def test_audit_catches_dependent_pair():
     alg = ImplicitMis(build(2, [(0, 1)]))
     alg.in_S = {0, 1}
