@@ -1,21 +1,29 @@
 """Unit-capacity s-t maximum flow under edge updates.
 
 Both classes keep a spanning tree of the vertices the source reaches in the
-residual graph (``parent``, ``in_tree``), as in Italiano's incremental
-reachability structure.  After every update ``in_tree`` is exactly the
-residual reach of ``s`` and every ``parent`` arc is a residual arc; the flow
-is maximum exactly when ``t`` is outside the tree.
+residual graph, as in Italiano's incremental reachability structure.  The
+tree is one map, ``parent``, with ``parent[s] == s``: after every update its
+keys are exactly the residual reach of ``s`` and every other ``parent`` arc
+is a residual arc; the flow is maximum exactly when ``t`` is outside the
+tree.
+
+Every search is one BFS, ``_label(prev, start, stop)``, which writes
+``prev[x] = w`` for each vertex it reaches and stops once ``stop`` is
+labelled; ``_path`` reads a path back from such a map.  The tree is such a
+map, so growing it is a search into ``parent``.
 
 - An inserted edge (u,v) adds the residual arc u->v.  Only if u is in the
   tree and v is not does the tree grow, by a search from v.  If the sink
-  joins, the flow is augmented along the tree path and the tree rebuilt;
-  one augmentation suffices, since the flow was maximum before.  Any other
-  insertion costs O(1).
+  joins, the flow is augmented along the tree path and the tree regrown
+  from ``{s: s}``; one augmentation suffices, since the flow was maximum
+  before.  Any other insertion costs O(1).
 - Deleting an empty edge removes only its forward arc.  If that was a tree
   arc, the subtree below it is cut off and re-hung (see below).
-- Deleting an edge that carries flow reroutes the unit from u to v, or else
-  sends it back to the source through an auxiliary s->t arc, lowering the
-  flow value by one.  The deleted edge's backward arc and every pushed arc
+- Deleting an edge that carries flow searches once from u for v, to reroute
+  the unit.  If v is not reached, then s is (back along the unit's path)
+  and t is not, so the search goes on from t through an auxiliary s->t arc,
+  which costs one touch: the unit is sent back to the source and the flow
+  value drops by one.  The deleted edge's backward arc and every pushed arc
   are lost, their reverses gained; the tree is then repaired the same way.
 
 Repairs follow decremental reachability (Even and Shiloach): the subtree
@@ -81,8 +89,7 @@ class FlowNetwork:
         self.meter = CostMeter()
         self._require(s)
         self._require(t)
-        self.parent: dict[int, int] = {}
-        self.in_tree: set[int] = {s}
+        self.parent: dict[int, int] = {s: s}
         self.stage_touches: list[int] = []
         self._stage_start = 0
 
@@ -127,8 +134,10 @@ class FlowNetwork:
         if isinstance(event, DeleteEdge):
             return self.delete_edge(event.u, event.v)
         if isinstance(event, InsertVertex) and not event.neighbors:
+            self.meter.begin_op()
             self.add_vertex()
             self.meter.updates += 1
+            self.meter.end_op()
             return FlowDelta(0)
         raise IncompatibleStreamError(
             f"{type(self).__name__} takes edge updates and isolated vertices only, not {event!r}"
@@ -157,18 +166,20 @@ class FlowNetwork:
         self.meter.updates += 1
         self.meter.touch(1)
         delta = FlowDelta(0)
-        if u in self.in_tree and v not in self.in_tree:
-            self.parent[v] = u
-            self.in_tree.add(v)
-            self._explore([v])
-            if self.t in self.in_tree:
-                path = self._trace_sink()
+        parent, s, t = self.parent, self.s, self.t
+        if u in parent and v not in parent:
+            parent[v] = u
+            self._label(parent, v, t)
+            if t in parent:
+                path = self._path(parent, s, t)
                 self._push(path)
                 self.F += 1
                 delta = FlowDelta(1, path)
                 self.stage_touches.append(self.meter.edges_touched - self._stage_start)
                 self._stage_start = self.meter.edges_touched
-                self._rebuild_tree()
+                # the flow is maximum again, so the regrown tree never reaches t
+                self.parent = {s: s}
+                self._label(self.parent, s, t)
         self.meter.end_op()
         return delta
 
@@ -185,19 +196,23 @@ class FlowNetwork:
             self.meter.end_op()
             return FlowDelta(0)
         self._drop_arc(v, u)
-        path = self._find_path(u, v)
-        if path is not None:
-            delta = FlowDelta(0, path)
-        else:
-            path = self._find_path(u, v, aux_st=True)
-            assert path is not None, "send-back path must exist"
+        prev = {u: u}
+        self._label(prev, u, v)
+        dF = 0
+        if v not in prev:
+            # u reaches s back along the unit's path but not t, and t reaches
+            # v: the search goes on from t through the auxiliary arc s->t
+            self.meter.touch(1)
+            prev[self.t] = self.s
+            self._label(prev, self.t, v)
             self.F -= 1
-            delta = FlowDelta(-1, path)
+            dF = -1
+        path = self._path(prev, u, v)
         # the flow is maximum again, so re-hanging never reaches t
-        pushed = self._push(path, skip_aux=delta.dF < 0)
+        pushed = self._push(path, skip_aux=dF < 0)
         self._repair([(v, u)] + pushed, [(b, a) for a, b in pushed])
         self.meter.end_op()
-        return delta
+        return FlowDelta(dF, path)
 
     # -- auditing --------------------------------------------------------
 
@@ -208,7 +223,9 @@ class FlowNetwork:
         saturated edges and checks that every arc an edge gives is in both
         residual sets; the set sizes must then sum to the number of distinct
         arcs, so the sets hold nothing else.  Only then is the residual reach
-        recomputed from them, without touching the meter.
+        recomputed from them, without touching the meter, and the tree checked
+        against it: rooted at ``parent[s] == s``, made of residual arcs, and
+        hanging every reached vertex from s.
         """
         flow, res_out, res_in = self.flow, self.res_out, self.res_in
         if res_in.keys() != res_out.keys():
@@ -235,13 +252,19 @@ class FlowNetwork:
             return False
         if -balance.get(s, 0) != self.F or balance.get(t, 0) != self.F or self.F < 0:
             return False
-        reach = self._reach(s, metered=False)
-        if t in reach:
-            return False
-        if self.in_tree != reach.keys() or self.parent.keys() != self.in_tree - {s}:
+        reach, stack = {s}, [s]
+        while stack:
+            for x in res_out[stack.pop()]:
+                if x not in reach:
+                    reach.add(x)
+                    stack.append(x)
+        parent = self.parent
+        if t in reach or parent.get(s) != s or parent.keys() != reach:
             return False
         children: dict[int, list[int]] = {}
-        for x, w in self.parent.items():
+        for x, w in parent.items():
+            if x == s:
+                continue
             if x not in res_out[w]:
                 return False
             children.setdefault(w, []).append(x)
@@ -251,7 +274,7 @@ class FlowNetwork:
             kids = children.get(stack.pop(), [])
             hung += len(kids)
             stack.extend(kids)
-        return hung == len(self.in_tree)
+        return hung == len(parent)
 
     # -- internals -------------------------------------------------------
 
@@ -265,59 +288,29 @@ class FlowNetwork:
         if v not in self.res_out:
             raise UnknownVertexError(f"vertex {v} is not live")
 
-    def _explore(self, frontier: list[int]) -> None:
-        res_out, parent, in_tree, t = self.res_out, self.parent, self.in_tree, self.t
-        while frontier:
-            w = frontier.pop()
-            if t in in_tree:
-                return
-            targets = res_out[w]
-            self.meter.touch(len(targets))
-            for x in targets:
-                if x not in in_tree:
-                    parent[x] = w
-                    in_tree.add(x)
-                    frontier.append(x)
+    def _label(self, prev: dict[int, int], start: int, stop: int) -> None:
+        """BFS from ``start``: label each new x reached by a residual arc w->x with ``prev[x] = w``.
 
-    def _trace_sink(self) -> list[int]:
-        path = [self.t]
-        while path[-1] != self.s:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
-
-    def _rebuild_tree(self) -> None:
-        # only called with a maximum flow, so the search never stops at t
-        self.parent = {}
-        self.in_tree = {self.s}
-        self._explore([self.s])
-
-    def _reach(
-        self, src: int, aux_st: bool = False, metered: bool = True, dst: int | None = None
-    ) -> dict[int, int]:
-        """BFS labels ``prev`` over the residual reach of src, stopping once dst is labelled."""
-        res_out, s, t = self.res_out, self.s, self.t
-        prev = {src: src}
-        queue = deque([src])
+        The search stops once ``stop`` is labelled, and meters every set it scans.
+        """
+        if stop in prev:
+            return
+        res_out, touch = self.res_out, self.meter.touch
+        queue = deque([start])
         while queue:
-            u = queue.popleft()
-            targets = res_out[u]
-            if aux_st and u == s and t not in targets:
-                targets = [*targets, t]
-            if metered:
-                self.meter.touch(len(targets))
-            for v in targets:
-                if v not in prev:
-                    prev[v] = u
-                    if v == dst:
-                        return prev
-                    queue.append(v)
-        return prev
+            w = queue.popleft()
+            targets = res_out[w]
+            touch(len(targets))
+            for x in targets:
+                if x not in prev:
+                    prev[x] = w
+                    if x == stop:
+                        return
+                    queue.append(x)
 
-    def _find_path(self, src: int, dst: int, aux_st: bool = False) -> list[int] | None:
-        prev = self._reach(src, aux_st=aux_st, dst=dst)
-        if dst not in prev or src == dst:
-            return None
+    @staticmethod
+    def _path(prev: dict[int, int], src: int, dst: int) -> list[int]:
+        """The labelled path from src to dst, read back from dst."""
         path = [dst]
         while path[-1] != src:
             path.append(prev[path[-1]])
@@ -354,23 +347,22 @@ class FlowNetwork:
         tree, hangs from a tree vertex with a residual arc into it, if any,
         and the tree grows from there.
         """
-        parent, in_tree, res_out, res_in = self.parent, self.in_tree, self.res_out, self.res_in
+        parent, res_out, res_in = self.parent, self.res_out, self.res_in
         roots = [b for a, b in lost if parent.get(b) == a and b not in res_out[a]]
         cut = self._cut(roots) if roots else []
-        candidates = dict.fromkeys(cut + [a for b, a in gained if b in in_tree])
+        candidates = dict.fromkeys(cut + [a for b, a in gained if b in parent])
         for x in candidates:
-            if x in in_tree:
+            if x in parent:
                 continue
             scanned = 0
             for w in res_in[x]:
                 scanned += 1
-                if w in in_tree:
+                if w in parent:
                     parent[x] = w
-                    in_tree.add(x)
                     break
             self.meter.touch(scanned)
-            if x in in_tree:
-                self._explore([x])
+            if x in parent:
+                self._label(parent, x, self.t)
 
     def _cut(self, roots: list[int]) -> list[int]:
         """Drop the subtrees below ``roots`` from the tree; return their vertices."""
@@ -381,8 +373,7 @@ class FlowNetwork:
         stack = roots
         while stack:
             x = stack.pop()
-            if x in self.in_tree:  # else it went with an earlier root's subtree
-                self.in_tree.remove(x)
+            if x in self.parent:  # else it went with an earlier root's subtree
                 del self.parent[x]
                 cut.append(x)
                 stack.extend(children.get(x, ()))

@@ -3,9 +3,8 @@
 ``DynamicMatching`` finds augmenting paths with one search, Edmonds'
 alternating forest with blossoms contracted through a disjoint-set union
 over their bases (Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan
-1985).  ``_build_forest(roots)`` grows it from every free vertex when an
-insertion needs a fresh forest, and only from the freed vertex in
-``augment_from``.
+1985).  Every forest is grown from all the free vertices: ``_build_forest()``
+takes no roots.
 
 Each odd vertex points at the even vertex it hangs from.  Contracting a
 blossom points each even vertex on its cycle back along the cycle towards
@@ -20,20 +19,22 @@ augmenting path, and the matching grows by one, which is all an insertion
 can add; or it attaches a matched pair to a tree or contracts a blossom, and
 the forest grows from the vertices that turned even.  Every vertex is
 scanned at most once per forest, so an insertion costs O(n + m).  Once the
-forest from every free vertex is complete, no edge joins even vertices of
-two trees.
+forest is complete, no edge joins even vertices of two trees, and the
+matching is maximum.
 
-A deletion or a vertex update searches from the endpoints it freed: only
-paths ending there can augment, and at most one does.  Augmentations,
-vertex updates and these searches leave the forest stale; it is rebuilt at
-the next insertion that needs it.  An isolated new vertex is the exception:
-it joins a complete forest as a free one-vertex tree, which is all the
-forest lacks.  A deletion leaves it stale only if the edge is matched or a
-parent pointer (``parent[x] == y`` or ``parent[y] == x``).  Every unmatched
-edge that a walk or a blossom cycle relies on is such a pointer; a
-blossom's closing edge is recorded on at least one side, since its
-endpoints have different bases.  Deleting any other edge leaves a complete
-forest complete, its roots still the free vertices.
+A deletion of a matched edge, and a vertex update that frees a vertex or
+adds one with edges, grows a fresh forest through ``augment_from``: only
+paths ending at a freed or new vertex can augment, at most one does, and
+the full forest finds it.  If none does, that forest is complete and the
+next insertion feeds it.  The forest goes stale only after an augmentation,
+the deletion of an unmatched edge that is a parent pointer (``parent[x] ==
+y`` or ``parent[y] == x``), or the deletion of an unmatched vertex; it is
+rebuilt at the next insertion that needs it.  Every unmatched edge that a
+walk or a blossom cycle relies on is such a pointer; a blossom's closing
+edge is recorded on at least one side, since its endpoints have different
+bases.  Deleting any other edge leaves a complete forest complete, its roots
+still the free vertices, and an isolated new vertex joins it as a free
+one-vertex tree.
 
 The forest meters every adjacency scan it makes.  A stage is the span of
 updates that ends when the matching grows; ``stage_touches`` records the
@@ -72,26 +73,19 @@ class DynamicMatching:
     blossom's base.  ``parent`` links an odd vertex to the even vertex it
     hangs from, and an even vertex on a contracted cycle to its neighbour
     on the cycle towards the edge that closed it (an endpoint of that edge
-    to the other).  ``_queue`` holds even vertices not scanned yet.  While
-    ``_stale`` is false the forest is complete and its roots are all the
-    free vertices; ``augment_from`` grows one from a single root and leaves
-    it stale.
+    to the other).  ``_queue`` holds even vertices not scanned yet.  A
+    forest grows from all the free vertices; while ``_stale`` is false it is
+    complete and its roots are still exactly the free vertices.
     """
 
     def __init__(self, g: DynGraph):
         self.g = g
         self.mate: dict[int, int] = {}
         self.meter = CostMeter()
-        self.label: dict[int, int] = {}
-        self.parent: dict[int, int] = {}
-        self.root: dict[int, int] = {}
-        self.dsu: dict[int, int] = {}
-        self._queue: deque[int] = deque()
-        self._stale = True
-        for v in sorted(g.vertices()):
-            if v not in self.mate:
-                self._build_forest([v])
-                self._grow()
+        # each pass augments once, until one leaves a complete forest
+        self._build_forest()
+        while self._grow():
+            self._build_forest()
         self.stage_touches: list[int] = []
         self._stage_start = self.meter.edges_touched
 
@@ -100,11 +94,14 @@ class DynamicMatching:
         return len(self.mate) // 2
 
     def augment_from(self, v: int) -> list[tuple[int, int]] | None:
-        """Flips an augmenting path from the free vertex ``v``; returns the new pairs, or None."""
+        """Grows a fresh forest once the free vertex ``v`` may end an augmenting path.
+
+        Returns the new pairs of the path it flips, or None; then the forest
+        is complete.
+        """
         if v in self.mate:
             raise NotFreeError(f"vertex {v} is matched")
-        self._stale = True  # a forest from one root misses the other free vertices
-        self._build_forest([v])
+        self._build_forest()
         return self._grow()
 
     def verify(self) -> bool:
@@ -139,15 +136,16 @@ class DynamicMatching:
             if self.mate.get(x) == y:
                 del self.mate[x]
                 del self.mate[y]
-                # a path ending at neither x nor y would have augmented before
-                flipped = self.augment_from(x) or self.augment_from(y) or []
+                # any augmenting path ends at x or y, and the forest holds both
+                flipped = self.augment_from(x) or []
         else:
             x = event.v
             self.g.delete_vertex(x)
             self.meter.begin_op()
-            self._stale = True
             y = self.mate.pop(x, None)
-            if y is not None:
+            if y is None:
+                self._stale = True  # x was a root, and its tree lost it
+            else:
                 del self.mate[y]
                 flipped = self.augment_from(y) or []
         self.meter.updates += 1
@@ -170,8 +168,7 @@ class DynamicMatching:
             return []  # no free vertex, so no augmenting path
         if self._stale:
             # the fresh forest scans every even vertex, the new edge included
-            self._build_forest([w for w in self.g.adj if w not in mate])
-            self._stale = False
+            self._build_forest()
         else:
             self.meter.touch(1)
             found = self._process_edge(u, v)
@@ -181,13 +178,15 @@ class DynamicMatching:
 
     # -- forest machinery ------------------------------------------------
 
-    def _build_forest(self, roots: list[int]) -> None:
-        """Starts a forest whose trees are the free vertices ``roots``."""
-        self.label = dict.fromkeys(roots, EVEN)
-        self.root = {v: v for v in roots}
-        self.parent = {}
-        self.dsu = {}
-        self._queue = deque(roots)
+    def _build_forest(self) -> None:
+        """Starts a forest whose trees are all the free vertices."""
+        roots = [w for w in self.g.adj if w not in self.mate]
+        self._stale = False
+        self.label: dict[int, int] = dict.fromkeys(roots, EVEN)
+        self.root: dict[int, int] = {v: v for v in roots}
+        self.parent: dict[int, int] = {}
+        self.dsu: dict[int, int] = {}
+        self._queue: deque[int] = deque(roots)
 
     def _add_root(self, v: int) -> None:
         """Adds the new isolated vertex ``v`` to a complete forest as a one-vertex tree."""

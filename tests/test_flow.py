@@ -123,7 +123,7 @@ def test_incremental_first_edge_augments():
 def test_incremental_unreachable_noop():
     inc = IncrementalFlow(4, 0, 3)
     inc.insert_edge(1, 2)
-    assert 1 not in inc.in_tree and 2 not in inc.in_tree
+    assert 1 not in inc.parent and 2 not in inc.parent
     assert inc.F == 0
 
 
@@ -214,6 +214,18 @@ def test_apply_takes_edge_updates_and_isolated_vertices(cls):
     assert alg.F == 1 and alg.meter.updates == 4 and alg.verify()
 
 
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_isolated_vertex_insertion_is_its_own_operation(cls):
+    alg = cls(3, 0, 2)
+    alg.apply(InsertEdge(0, 1))
+    alg.apply(InsertEdge(1, 2))  # augments
+    assert alg.meter.op_edges_touched > 0
+    max_before = alg.meter.max_op_edges_touched
+    alg.apply(InsertVertex(()))
+    assert alg.meter.op_edges_touched == 0 and alg.meter.op_adjustments == 0
+    assert alg.meter.max_op_edges_touched == max_before and alg.meter.updates == 3
+
+
 # -- the source reachability tree ---------------------------------------------
 
 
@@ -236,16 +248,16 @@ def test_insert_off_the_tree_touches_one(cls):
     assert net.meter.op_edges_touched == 1
     net.insert_edge(1, 0)  # both ends already in the tree
     assert net.meter.op_edges_touched == 1
-    assert net.in_tree == {0, 1} and net.verify()
+    assert net.parent.keys() == {0, 1} and net.verify()
 
 
 def test_delete_empty_tree_arc_rehangs_subtree():
     net = FlowNetwork(4, 0, 3)
     net.insert_edge(0, 1)
     net.insert_edge(1, 2)
-    assert net.parent == {1: 0, 2: 1}
+    assert net.parent == {0: 0, 1: 0, 2: 1}
     net.delete_edge(1, 2)
-    assert net.in_tree == {0, 1} and net.parent == {1: 0}
+    assert net.parent == {0: 0, 1: 0}
     assert net.meter.op_edges_touched == 0  # the cut leaf 2 has no residual in-arc left
     assert net.verify()
 
@@ -255,21 +267,21 @@ def test_delete_tree_arc_rehangs_through_the_other_arc():
     net = FlowNetwork(6, 0, 5)
     for u, v in [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]:
         net.insert_edge(u, v)
-    assert net.parent == {1: 0, 2: 0, 3: 1, 4: 3}
+    assert net.parent == {0: 0, 1: 0, 2: 0, 3: 1, 4: 3}
     net.delete_edge(1, 3)
-    assert net.parent == {1: 0, 2: 0, 3: 2, 4: 3}  # 4 stays below 3
+    assert net.parent == {0: 0, 1: 0, 2: 0, 3: 2, 4: 3}  # 4 stays below 3
     assert net.meter.op_edges_touched == 2  # the in-arc 2->3, then 3->4
-    assert net.in_tree == residual_reach(net) and net.verify()
+    assert net.parent.keys() == residual_reach(net) and net.verify()
 
 
 def test_delete_tree_arc_keeps_the_reachable_part_of_the_cut():
     net = FlowNetwork(7, 0, 6)
     for u, v in [(0, 1), (1, 2), (1, 3), (3, 4), (0, 3)]:
         net.insert_edge(u, v)
-    assert net.parent == {1: 0, 2: 1, 3: 1, 4: 3}
+    assert net.parent == {0: 0, 1: 0, 2: 1, 3: 1, 4: 3}
     net.delete_edge(0, 1)  # cuts 1, 2, 3 and 4; only 3 has another way in
-    assert net.in_tree == {0, 3, 4} == residual_reach(net)
-    assert net.parent == {3: 0, 4: 3}
+    assert net.parent.keys() == {0, 3, 4} == residual_reach(net)
+    assert net.parent == {0: 0, 3: 0, 4: 3}
     assert net.verify()
 
 
@@ -278,18 +290,18 @@ def test_carried_deletions_repair_the_tree():
     net = FlowNetwork(7, 0, 6)
     for u, v in [(0, 1), (1, 2), (2, 6), (1, 3), (3, 4), (4, 2), (0, 3)]:
         net.insert_edge(u, v)
-    assert net.F == 1 and net.parent == {3: 0, 4: 3, 2: 4, 1: 2}
+    assert net.F == 1 and net.parent == {0: 0, 3: 0, 4: 3, 2: 4, 1: 2}
     # the reroute 1->3->4->2 flips the tree arcs 3->4 and 4->2
     delta = net.delete_edge(1, 2)
     assert delta.dF == 0 and delta.path == [1, 3, 4, 2]
-    assert net.in_tree == {0, 1, 3} == residual_reach(net)
-    assert net.parent == {3: 0, 1: 3}  # 1 hangs from the gained arc 3->1
+    assert net.parent.keys() == {0, 1, 3} == residual_reach(net)
+    assert net.parent == {0: 0, 3: 0, 1: 3}  # 1 hangs from the gained arc 3->1
     assert net.F == 1 == oracle(net) and net.verify()
     # no other way into the sink: the unit goes back 2->4->3->1->0
     delta = net.delete_edge(2, 6)
     assert delta.dF == -1 and delta.path == [2, 4, 3, 1, 0, 6]
-    assert net.in_tree == {0, 1, 2, 3, 4} == residual_reach(net)
-    assert net.parent == {3: 0, 1: 0, 4: 3, 2: 4}
+    assert net.parent.keys() == {0, 1, 2, 3, 4} == residual_reach(net)
+    assert net.parent == {0: 0, 3: 0, 1: 0, 4: 3, 2: 4}
     assert net.F == 0 == oracle(net) and net.verify()
 
 
@@ -297,17 +309,17 @@ def test_reroute_search_stops_at_its_target():
     net = FlowNetwork(7, 0, 3)
     for u, v in [(0, 1), (1, 3), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)]:
         net.insert_edge(u, v)
-    assert net.F == 1 and net.in_tree == {0}
+    assert net.F == 1 and net.parent.keys() == {0}
     delta = net.delete_edge(1, 3)
     assert delta.dF == 0 and delta.path == [1, 2, 3]
     # 1 reads 0, 2 and 4; 0 reads nothing; 2 reads 3 and the search stops before 4->5->6
     assert net.meter.op_edges_touched == 4
-    assert net.in_tree == {0} and net.verify()
+    assert net.parent.keys() == {0} and net.verify()
 
 
 def test_deletion_work_linear():
-    # a deletion costs at most the reroute and send-back searches (m + 1
-    # each), one scan of the residual in-arcs of the cut, and one regrowth
+    # a deletion costs at most one search from u (m + 1, the auxiliary arc
+    # included), one scan of the residual in-arcs of the cut, and one regrowth
     for seed in range(300):
         n = 4 + seed % 27
         stream = gen_random_flow(n, 400, seed=900 + seed, p_insert=(0.55, 0.7, 0.85)[seed % 3])
@@ -316,21 +328,21 @@ def test_deletion_work_linear():
             m = net.m
             net.apply(event)
             if isinstance(event, DeleteEdge):
-                assert net.meter.op_edges_touched <= 4 * m + 2, (seed, event)
+                assert net.meter.op_edges_touched <= 3 * m + 2, (seed, event)
         assert net.F == oracle(net), seed
-        assert net.in_tree == residual_reach(net) and net.verify(), seed
+        assert net.parent.keys() == residual_reach(net) and net.verify(), seed
 
 
 def test_delete_empty_non_tree_arc_leaves_tree():
     net = FlowNetwork(5, 0, 4)
     for u, v in [(0, 1), (0, 2), (1, 2)]:
         net.insert_edge(u, v)
-    parent, in_tree = dict(net.parent), set(net.in_tree)
+    parent = dict(net.parent)
     assert parent[2] == 0
     before = net.meter.edges_touched
     net.delete_edge(1, 2)
     assert net.meter.edges_touched == before
-    assert net.parent == parent and net.in_tree == in_tree
+    assert net.parent == parent
     assert net.verify()
 
 
@@ -338,7 +350,7 @@ def test_anti_parallel_edges_with_flow_on_one():
     net = FlowNetwork(4, 0, 3)
     for u, v in [(0, 2), (2, 1), (1, 3)]:
         net.insert_edge(u, v)
-    assert net.F == 1 and net.flow[(2, 1)] == 1 and net.in_tree == {0}
+    assert net.F == 1 and net.flow[(2, 1)] == 1 and net.parent.keys() == {0}
     arcs = {(0, 2), (2, 1), (1, 3)}
     steps = [
         ("+", 1, 2),  # anti-parallel to the carried (2,1), tail off the tree
@@ -357,7 +369,7 @@ def test_anti_parallel_edges_with_flow_on_one():
             net.delete_edge(u, v)
             arcs.discard((u, v))
         assert net.F == static_max_flow(range(4), arcs, 0, 3), (op, u, v)
-        assert net.in_tree == residual_reach(net), (op, u, v)
+        assert net.parent.keys() == residual_reach(net), (op, u, v)
         assert net.verify(), (op, u, v)
     assert net.F == 2
 
@@ -369,7 +381,7 @@ def test_anti_parallel_send_back():
     assert net.F == 1 and net.flow[(1, 2)] == 1 and net.flow[(2, 1)] == 0
     delta = net.delete_edge(1, 2)
     assert delta.dF == -1 and net.F == 0
-    assert net.in_tree == residual_reach(net) == {0, 1}
+    assert net.parent.keys() == residual_reach(net) == {0, 1}
     assert net.verify()
     delta = net.insert_edge(1, 3)
     assert delta.dF == 1 and delta.path == [0, 1, 3]
@@ -398,7 +410,7 @@ def test_fully_dynamic_dense_stream_keeps_tree(seed):
             arcs.discard((u, v))
             net.delete_edge(u, v)
         assert net.F == static_max_flow(range(n), arcs, 0, 6)
-        assert net.in_tree == residual_reach(net)
+        assert net.parent.keys() == residual_reach(net)
         assert net.verify()
 
 
@@ -413,8 +425,10 @@ def _tree_fixture():
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda net: net.in_tree.discard(2),  # a reachable vertex left out
-        lambda net: net.in_tree.add(4),  # an unreachable vertex let in
+        lambda net: net.parent.pop(2),  # a reachable vertex left out
+        lambda net: net.parent.update({4: 2}),  # an unreachable vertex let in
+        lambda net: net.parent.pop(0),  # the source left out
+        lambda net: net.parent.update({0: 1}),  # the source hung from a tree vertex
         lambda net: net.parent.update({2: 0}),  # 0->2 is no residual arc
         lambda net: net.parent.pop(3),  # a tree vertex without a parent
         lambda net: net.parent.update({1: 2, 2: 1}),  # residual arcs, but a cycle

@@ -28,10 +28,11 @@ def build(n, edges):
 
 
 def _with_mate(g, mate):
-    """A matching on ``g`` whose ``mate`` is set by hand."""
+    """A matching on ``g`` whose ``mate`` is set by hand, so its forest is stale."""
     alg = DynamicMatching(g)
     alg.mate.clear()
     alg.mate.update(mate)
+    alg._stale = True
     return alg
 
 
@@ -343,9 +344,7 @@ def _bridged_blossom():
     # free 7 - 6=5; the edge (3,5) joins two matched vertices and closes
     # the augmenting path 0-1=2-4=3-5=6-7 through the blossom
     g = build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (5, 6), (6, 7)])
-    alg = DynamicMatching(g)
-    alg.mate.clear()
-    alg.mate.update({1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5})
+    alg = _with_mate(g, {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5})
     assert alg.verify()
     return alg
 
@@ -396,8 +395,7 @@ def test_augment_on_graph_with_deleted_ids(seed):
     mate = alg.mate
     for v in sorted(g.vertices()):
         if v not in mate:
-            flipped = alg.augment_from(v)
-            assert flipped is None or (min(v, mate[v]), max(v, mate[v])) in flipped
+            alg.augment_from(v)
     for u, v in mate.items():
         assert mate[v] == u and g.has_edge(u, v)
     assert len(mate) // 2 == static_max_matching(g.adj)
@@ -467,8 +465,8 @@ def test_deleting_an_edge_outside_the_forest_keeps_it():
     _check_matching(alg)
 
 
-# parent pointers named from either end, and a matched edge
-@pytest.mark.parametrize("edge", [(1, 2), (2, 1), (0, 4), (3, 2)])
+# parent pointers named from either end
+@pytest.mark.parametrize("edge", [(1, 2), (2, 1), (0, 4)])
 def test_deleting_a_forest_edge_leaves_it_stale(edge):
     g = build(5, [(0, 1), (2, 3), (1, 2)])
     alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
@@ -476,6 +474,32 @@ def test_deleting_a_forest_edge_leaves_it_stale(edge):
     assert not alg._stale and alg.parent == {0: 4, 2: 1}
     alg.apply(DeleteEdge(*edge))
     assert alg._stale
+    _check_matching(alg)
+
+
+def test_matched_deletion_without_augmenting_path_leaves_a_complete_forest():
+    # 0=1 and 2=3 matched on the path 0-1-2-3, 4 isolated; deleting 0=1
+    # frees 0 and 1, and the forest from 0, 1 and 4 finds no augmenting path
+    g = build(5, [(0, 1), (1, 2), (2, 3)])
+    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    delta = alg.apply(DeleteEdge(0, 1))
+    assert delta.delta == -1 and delta.flipped == []
+    assert not alg._stale and alg.parent == {2: 1}
+    _audit_forest(alg)
+    # the next insertion feeds that forest: 1-2=3-4 closes with the edge alone
+    delta = alg.apply(InsertEdge(3, 4))
+    assert delta.delta == 1 and alg.meter.op_edges_touched == 1
+    assert delta.flipped == [(1, 2), (3, 4)]
+    _check_matching(alg)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constructor_leaves_a_complete_forest(seed):
+    rng = random.Random(1100 + seed)
+    n = rng.randint(4, 20)
+    alg = DynamicMatching(build(n, _random_graph(rng, n, rng.randint(n, 3 * n))))
+    assert not alg._stale
+    _audit_forest(alg)
     _check_matching(alg)
 
 
@@ -491,13 +515,17 @@ def test_kept_forest_fuzz():
         alg = DynamicMatching(DynGraph(n))
         for event in stream.events:
             fresh = not alg._stale
+            matched = isinstance(event, DeleteEdge) and alg.mate.get(event.u) == event.v
             alg.apply(event)
             if fresh and not alg._stale:
                 kept[type(event)] += 1
+            if matched and not alg._stale:
+                kept["matched deletion"] += 1
             assert alg.cardinality == static_max_matching(alg.g.adj), (seed, event)
             if not alg._stale:
                 _audit_forest(alg)
     assert kept[DeleteEdge] >= 1000 and kept[InsertVertex] >= 50, kept
+    assert kept["matched deletion"] >= 1000, kept
 
 
 def test_isolated_vertex_joins_a_kept_forest():
