@@ -60,7 +60,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stream == "-":
         text = sys.stdin.read()
     else:
-        with open(args.stream) as fh:
+        with open(args.stream, encoding="utf-8") as fh:
             text = fh.read()
     # query answers are printed as they are produced, ahead of the report
     report = replay(args.algorithm, parse_stream(text), verify=args.verify, on_query=print)
@@ -130,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (DynamisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: stream is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
 
 

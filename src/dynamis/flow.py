@@ -17,22 +17,17 @@ map, so growing it is a search into ``parent``.
   joins, the flow is augmented along the tree path and the tree regrown
   from ``{s: s}``; one augmentation suffices, since the flow was maximum
   before.  Any other insertion costs O(1).
-- Deleting an empty edge removes only its forward arc.  If that was a tree
-  arc, the subtree below it is cut off and re-hung (see below).
+- Deleting an empty edge removes only its forward arc.  If that arc leaves
+  the residual graph and was a tree arc, the tree is regrown from
+  ``{s: s}``; any other such deletion costs nothing.
 - Deleting an edge that carries flow searches once from u for v, to reroute
   the unit.  If v is not reached, then s is (back along the unit's path)
   and t is not, so the search goes on from t through an auxiliary s->t arc,
   which costs one touch: the unit is sent back to the source and the flow
-  value drops by one.  The deleted edge's backward arc and every pushed arc
-  are lost, their reverses gained; the tree is then repaired the same way.
+  value drops by one.  The tree is then regrown from ``{s: s}``.
 
-Repairs follow decremental reachability (Even and Shiloach): the subtree
-below each lost tree arc is cut off, and every cut vertex, and the head of
-every gained arc whose tail is still in the tree, scans its residual in-arcs
-for a tree vertex to hang from and grows the tree from there.  The first cut
-vertex on any residual path from s has an in-arc from the uncut tree, so
-everything still reachable is found, and vertices outside the cut keep their
-tree paths.
+The tree shrinks only by regrowth, one search of at most m touches, so a
+deletion costs at most two searches and the auxiliary touch: 2m + 1.
 
 Within one stage (between augmentations) insertion-only tree work is linear
 in the edge count.  ``stage_touches`` records the metered work of each
@@ -40,14 +35,14 @@ stage, as the difference of the meter's total at its two ends, and
 ``current_stage_touches()`` that of the open one.  ``IncrementalFlow`` is the
 same structure with deletions rejected.
 
-The residual graph is kept as adjacency sets, ``res_out[u]`` and
-``res_in[v]``, beside the flow flags in ``flow``: an edge gives its arc
-forward while empty and backward while saturated.  Insertions, deletions and
-flips in ``_push`` update the sets in O(1), and every search reads them
-directly, in set order; that order follows from the update history alone, so
-replays stay deterministic.  Anti-parallel real edges are distinct (only
-exact duplicates are rejected), and both can give the same arc: an empty
-(u,v) and a saturated (v,u) both give u->v, which leaves the sets only when
+The residual graph is kept as adjacency sets, ``res_out[u]``, beside the
+flow flags in ``flow``: an edge gives its arc forward while empty and
+backward while saturated.  Insertions, deletions and flips in ``_push``
+update the sets in O(1), and every search reads them directly, in set
+order; that order follows from the update history alone, so replays stay
+deterministic.  Anti-parallel real edges are distinct (only exact
+duplicates are rejected), and both can give the same arc: an empty (u,v)
+and a saturated (v,u) both give u->v, which leaves the sets only when
 neither edge keeps it.
 """
 
@@ -81,7 +76,6 @@ class FlowNetwork:
         if s == t:
             raise SelfLoopError("source equals sink")
         self.res_out: dict[int, set[int]] = {v: set() for v in range(n)}
-        self.res_in: dict[int, set[int]] = {v: set() for v in range(n)}
         self.flow: dict[tuple[int, int], int] = {}
         self.s = s
         self.t = t
@@ -106,7 +100,6 @@ class FlowNetwork:
     def add_vertex(self) -> int:
         v = len(self.res_out)
         self.res_out[v] = set()
-        self.res_in[v] = set()
         return v
 
     def vertices(self) -> list[int]:
@@ -153,15 +146,14 @@ class FlowNetwork:
         """
         if u == v:
             raise SelfLoopError(f"self-loop at {u}")
-        out_u, in_v = self.res_out.get(u), self.res_in.get(v)
-        if out_u is None or in_v is None:
+        out_u = self.res_out.get(u)
+        if out_u is None or v not in self.res_out:
             self._require(u)
             self._require(v)
         if (u, v) in self.flow:
             raise ParallelEdgeError(f"edge ({u},{v}) already present")
         self.flow[(u, v)] = 0
         out_u.add(v)
-        in_v.add(u)
         self.meter.begin_op()
         self.meter.updates += 1
         self.meter.touch(1)
@@ -177,9 +169,7 @@ class FlowNetwork:
                 delta = FlowDelta(1, path)
                 self.stage_touches.append(self.meter.edges_touched - self._stage_start)
                 self._stage_start = self.meter.edges_touched
-                # the flow is maximum again, so the regrown tree never reaches t
-                self.parent = {s: s}
-                self._label(self.parent, s, t)
+                self._regrow()
         self.meter.end_op()
         return delta
 
@@ -191,8 +181,9 @@ class FlowNetwork:
         self.meter.updates += 1
         if not carried:
             self._drop_arc(u, v)
-            if self.parent.get(v) == u:  # else the tree never used the lost arc u->v
-                self._repair([(u, v)], [])
+            # the tree lost an arc only if v hung from u and no other edge gives u->v
+            if self.parent.get(v) == u and v not in self.res_out[u]:
+                self._regrow()
             self.meter.end_op()
             return FlowDelta(0)
         self._drop_arc(v, u)
@@ -208,9 +199,8 @@ class FlowNetwork:
             self.F -= 1
             dF = -1
         path = self._path(prev, u, v)
-        # the flow is maximum again, so re-hanging never reaches t
-        pushed = self._push(path, skip_aux=dF < 0)
-        self._repair([(v, u)] + pushed, [(b, a) for a, b in pushed])
+        self._push(path, skip_aux=dF < 0)
+        self._regrow()
         self.meter.end_op()
         return FlowDelta(dF, path)
 
@@ -220,16 +210,14 @@ class FlowNetwork:
         """Capacity, conservation, flow value, the residual sets, maximality and the tree.
 
         One pass over the edges checks the flags, sums the balances of the
-        saturated edges and checks that every arc an edge gives is in both
-        residual sets; the set sizes must then sum to the number of distinct
+        saturated edges and checks that every arc an edge gives is in its
+        residual set; the set sizes must then sum to the number of distinct
         arcs, so the sets hold nothing else.  Only then is the residual reach
         recomputed from them, without touching the meter, and the tree checked
         against it: rooted at ``parent[s] == s``, made of residual arcs, and
         hanging every reached vertex from s.
         """
-        flow, res_out, res_in = self.flow, self.res_out, self.res_in
-        if res_in.keys() != res_out.keys():
-            return False
+        flow, res_out = self.flow, self.res_out
         balance: dict[int, int] = {}
         arcs = len(flow)
         for (u, v), f in flow.items():
@@ -243,9 +231,9 @@ class FlowNetwork:
                 a, b = v, u
             else:
                 return False
-            if b not in res_out[a] or a not in res_in[b]:
+            if b not in res_out[a]:
                 return False
-        if sum(map(len, res_out.values())) != arcs or sum(map(len, res_in.values())) != arcs:
+        if sum(map(len, res_out.values())) != arcs:
             return False
         s, t = self.s, self.t
         if any(b for v, b in balance.items() if v != s and v != t):
@@ -282,7 +270,6 @@ class FlowNetwork:
         """Remove the residual arc a->b unless an edge still gives it."""
         if self.flow.get((a, b)) != 0 and self.flow.get((b, a)) != 1:
             self.res_out[a].discard(b)
-            self.res_in[b].discard(a)
 
     def _require(self, v: int) -> None:
         if v not in self.res_out:
@@ -317,14 +304,18 @@ class FlowNetwork:
         path.reverse()
         return path
 
-    def _push(self, path: list[int], skip_aux: bool = False) -> list[tuple[int, int]]:
-        """Push one unit along a residual path; return the real arcs it used.
+    def _regrow(self) -> None:
+        """Regrow the tree from ``{s: s}``; the flow is maximum, so it never reaches t."""
+        self.parent = {self.s: self.s}
+        self._label(self.parent, self.s, self.t)
+
+    def _push(self, path: list[int], skip_aux: bool = False) -> None:
+        """Push one unit along a residual path.
 
         Each used arc a->b leaves the residual sets unless the other edge
         between a and b still gives it, and its reverse b->a joins them.
         """
-        flow, res_out, res_in = self.flow, self.res_out, self.res_in
-        pushed = []
+        flow, res_out = self.flow, self.res_out
         for a, b in zip(path, path[1:]):
             if flow.get((a, b)) == 0:
                 flow[(a, b)] = 1
@@ -335,49 +326,6 @@ class FlowNetwork:
                 continue
             self._drop_arc(a, b)
             res_out[b].add(a)
-            res_in[a].add(b)
-            pushed.append((a, b))
-        return pushed
-
-    def _repair(self, lost: list[tuple[int, int]], gained: list[tuple[int, int]]) -> None:
-        """Restore the tree after the residual arcs ``lost`` went and ``gained`` came.
-
-        The subtree below every lost tree arc is cut off; then each cut
-        vertex, and the head of each gained arc whose tail is still in the
-        tree, hangs from a tree vertex with a residual arc into it, if any,
-        and the tree grows from there.
-        """
-        parent, res_out, res_in = self.parent, self.res_out, self.res_in
-        roots = [b for a, b in lost if parent.get(b) == a and b not in res_out[a]]
-        cut = self._cut(roots) if roots else []
-        candidates = dict.fromkeys(cut + [a for b, a in gained if b in parent])
-        for x in candidates:
-            if x in parent:
-                continue
-            scanned = 0
-            for w in res_in[x]:
-                scanned += 1
-                if w in parent:
-                    parent[x] = w
-                    break
-            self.meter.touch(scanned)
-            if x in parent:
-                self._label(parent, x, self.t)
-
-    def _cut(self, roots: list[int]) -> list[int]:
-        """Drop the subtrees below ``roots`` from the tree; return their vertices."""
-        children: dict[int, list[int]] = {}
-        for x, w in self.parent.items():
-            children.setdefault(w, []).append(x)
-        cut = []
-        stack = roots
-        while stack:
-            x = stack.pop()
-            if x in self.parent:  # else it went with an earlier root's subtree
-                del self.parent[x]
-                cut.append(x)
-                stack.extend(children.get(x, ()))
-        return cut
 
 
 class IncrementalFlow(FlowNetwork):

@@ -203,6 +203,26 @@ def test_cli_run_parse_error_exits_2(tmp_path):
     assert main(["run", "mis-simple", str(path)]) == 2
 
 
+def test_cli_run_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe+e 0 1\n")
+    assert main(["run", "mis-simple", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: stream is not UTF-8") and captured.out == ""
+
+
+def test_cli_run_non_utf8_stdin_exits_2(tmp_path):
+    # a strict UTF-8 stdin raises UnicodeDecodeError on the read itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    run = subprocess.run(
+        [sys.executable, "-m", "dynamis", "run", "mis-simple", "-"],
+        cwd=tmp_path, env=env, input=b"\xff\xfe+e 0 1\n", capture_output=True,
+    )
+    assert run.returncode == 2 and run.stdout == b""
+    assert run.stderr.startswith(b"error: stream is not UTF-8") and b"Traceback" not in run.stderr
+
+
 def test_cli_run_emits_query_lines_before_report(tmp_path, capsys):
     path = tmp_path / "q.txt"
     path.write_text("n 3\n+e 0 1\n? 0\n? 1\n")

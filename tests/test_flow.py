@@ -258,7 +258,7 @@ def test_delete_empty_tree_arc_rehangs_subtree():
     assert net.parent == {0: 0, 1: 0, 2: 1}
     net.delete_edge(1, 2)
     assert net.parent == {0: 0, 1: 0}
-    assert net.meter.op_edges_touched == 0  # the cut leaf 2 has no residual in-arc left
+    assert net.meter.op_edges_touched == 1  # the regrowth reads 0->1, and 1 has no arc left
     assert net.verify()
 
 
@@ -270,7 +270,7 @@ def test_delete_tree_arc_rehangs_through_the_other_arc():
     assert net.parent == {0: 0, 1: 0, 2: 0, 3: 1, 4: 3}
     net.delete_edge(1, 3)
     assert net.parent == {0: 0, 1: 0, 2: 0, 3: 2, 4: 3}  # 4 stays below 3
-    assert net.meter.op_edges_touched == 2  # the in-arc 2->3, then 3->4
+    assert net.meter.op_edges_touched == 4  # the regrowth reads 0->1, 0->2, 2->3 and 3->4
     assert net.parent.keys() == residual_reach(net) and net.verify()
 
 
@@ -319,7 +319,7 @@ def test_reroute_search_stops_at_its_target():
 
 def test_deletion_work_linear():
     # a deletion costs at most one search from u (m + 1, the auxiliary arc
-    # included), one scan of the residual in-arcs of the cut, and one regrowth
+    # included) and one regrowth (m)
     for seed in range(300):
         n = 4 + seed % 27
         stream = gen_random_flow(n, 400, seed=900 + seed, p_insert=(0.55, 0.7, 0.85)[seed % 3])
@@ -328,7 +328,7 @@ def test_deletion_work_linear():
             m = net.m
             net.apply(event)
             if isinstance(event, DeleteEdge):
-                assert net.meter.op_edges_touched <= 3 * m + 2, (seed, event)
+                assert net.meter.op_edges_touched <= 2 * m + 1, (seed, event)
         assert net.F == oracle(net), seed
         assert net.parent.keys() == residual_reach(net) and net.verify(), seed
 
@@ -456,14 +456,12 @@ def test_verify_does_not_touch_the_meter(cls):
 
 
 def derived_residual(net):
-    """res_out and res_in re-derived from the flow flags alone."""
+    """res_out re-derived from the flow flags alone."""
     out = {v: set() for v in net.vertices()}
-    into = {v: set() for v in net.vertices()}
     for (u, v), f in net.flow.items():
         a, b = (v, u) if f else (u, v)
         out[a].add(b)
-        into[b].add(a)
-    return out, into
+    return out
 
 
 @pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
@@ -482,7 +480,7 @@ def test_residual_sets_follow_the_flow(cls):
             elif carried:
                 seen["send-back" if delta.dF < 0 else "reroute"] += 1
             seen["anti-parallel"] += (event.v, event.u) in net.flow
-            assert (net.res_out, net.res_in) == derived_residual(net), (seed, event)
+            assert net.res_out == derived_residual(net), (seed, event)
         assert net.verify(), seed
     assert seen["anti-parallel"] and seen["augment"], seen
     if cls is FlowNetwork:
@@ -508,22 +506,12 @@ def _anti_parallel_fixture():
     return net
 
 
-def _drop(net, a, b):
-    net.res_out[a].discard(b)
-    net.res_in[b].discard(a)
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda net: (net.res_out[2].add(3), net.res_in[3].add(2)),  # a stray arc in both sets
-        lambda net: _drop(net, 0, 2),  # the empty (0,2)'s arc missing from both
-        lambda net: net.res_in[3].add(2),  # a stray arc in res_in only
-        lambda net: net.res_out[2].add(3),  # a stray arc in res_out only
-        # res_in out of step with res_out, with the sizes still right
-        lambda net: (net.res_in[2].discard(0), net.res_in[3].add(2)),
-        lambda net: _drop(net, 1, 0),  # dropped, though (1,0) and (0,1) both give it
-        lambda net: net.res_in.pop(2),  # a vertex without its in-set
+        lambda net: net.res_out[0].discard(2),  # the empty (0,2)'s arc missing
+        lambda net: net.res_out[2].add(3),  # a stray arc
+        lambda net: net.res_out[1].discard(0),  # dropped, though (1,0) and (0,1) both give it
     ],
 )
 def test_verify_catches_broken_residual_sets(corrupt):
@@ -535,12 +523,12 @@ def test_verify_catches_broken_residual_sets(corrupt):
 def test_anti_parallel_arc_stays_while_one_edge_gives_it():
     net = _anti_parallel_fixture()
     net.delete_edge(1, 0)  # the saturated (0,1) still gives 1->0
-    assert net.res_out[1] == {0} and net.res_in[0] == {1}
-    assert (net.res_out, net.res_in) == derived_residual(net) and net.verify()
+    assert net.res_out[1] == {0}
+    assert net.res_out == derived_residual(net) and net.verify()
     net.insert_edge(1, 0)
     net.delete_edge(0, 1)  # carried and sent back; the empty (1,0) still gives 1->0
     assert net.F == 0 and net.res_out[1] == {0, 3}  # and the emptied (1,3) gives 1->3
-    assert (net.res_out, net.res_in) == derived_residual(net) and net.verify()
+    assert net.res_out == derived_residual(net) and net.verify()
 
 
 # -- the meter against the scans it stands for --------------------------------
@@ -562,7 +550,7 @@ class CountingSet(set):
 
 @pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
 def test_meter_covers_every_residual_scan(cls):
-    # every entry an update reads from res_out or res_in is metered;
+    # every entry an update reads from res_out is metered;
     # verify() reads unmetered and is left out
     total_reads = 0
     for seed in range(60):
@@ -572,7 +560,6 @@ def test_meter_covers_every_residual_scan(cls):
         net = cls(n, 0, n - 1)
         tally = [0]
         net.res_out = {v: CountingSet(tally) for v in net.res_out}
-        net.res_in = {v: CountingSet(tally) for v in net.res_in}
         for event in stream.events:
             before = tally[0]
             net.apply(event)
