@@ -33,7 +33,7 @@ from .generators import (
 from .graph import DynGraph
 from .matching import DynamicMatching, IncrementalMatching, MatchDelta
 from .meter import AdjustmentLog, CostMeter
-from .mis import ImplicitMis, IncrementalMis, RemovalPolicy, SimpleMis, TwoLevelMis
+from .mis import ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
 from .stream import (
     DeleteEdge,
     DeleteVertex,
@@ -75,7 +75,6 @@ __all__ = [
     "NotIncrementalError",
     "ParallelEdgeError",
     "QueryInMis",
-    "RemovalPolicy",
     "SelfLoopError",
     "SimpleMis",
     "StreamParseError",

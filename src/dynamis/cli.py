@@ -57,11 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # bytes from either source, decoded strictly once, whatever the locale
     if args.stream == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(args.stream, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.stream, "rb") as fh:
+            data = fh.read()
+    text = data.decode("utf-8")
     # query answers are printed as they are produced, ahead of the report
     report = replay(args.algorithm, parse_stream(text), verify=args.verify, on_query=print)
     _emit(report, args.report)

@@ -127,10 +127,11 @@ class FlowNetwork:
         if isinstance(event, DeleteEdge):
             return self.delete_edge(event.u, event.v)
         if isinstance(event, InsertVertex) and not event.neighbors:
-            self.meter.begin_op()
+            meter = self.meter
+            touched, adjusted = meter.edges_touched, meter.adjustments
             self.add_vertex()
-            self.meter.updates += 1
-            self.meter.end_op()
+            meter.updates += 1
+            meter.end_op(touched, adjusted)
             return FlowDelta(0)
         raise IncompatibleStreamError(
             f"{type(self).__name__} takes edge updates and isolated vertices only, not {event!r}"
@@ -152,11 +153,12 @@ class FlowNetwork:
             self._require(v)
         if (u, v) in self.flow:
             raise ParallelEdgeError(f"edge ({u},{v}) already present")
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
         self.flow[(u, v)] = 0
         out_u.add(v)
-        self.meter.begin_op()
-        self.meter.updates += 1
-        self.meter.touch(1)
+        meter.updates += 1
+        meter.touch(1)
         delta = FlowDelta(0)
         parent, s, t = self.parent, self.s, self.t
         if u in parent and v not in parent:
@@ -167,24 +169,25 @@ class FlowNetwork:
                 self._push(path)
                 self.F += 1
                 delta = FlowDelta(1, path)
-                self.stage_touches.append(self.meter.edges_touched - self._stage_start)
-                self._stage_start = self.meter.edges_touched
+                self.stage_touches.append(meter.edges_touched - self._stage_start)
+                self._stage_start = meter.edges_touched
                 self._regrow()
-        self.meter.end_op()
+        meter.end_op(touched, adjusted)
         return delta
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
         if (u, v) not in self.flow:
             raise MissingEdgeError(f"edge ({u},{v}) not present")
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
         carried = self.flow.pop((u, v))
-        self.meter.begin_op()
-        self.meter.updates += 1
+        meter.updates += 1
         if not carried:
             self._drop_arc(u, v)
             # the tree lost an arc only if v hung from u and no other edge gives u->v
             if self.parent.get(v) == u and v not in self.res_out[u]:
                 self._regrow()
-            self.meter.end_op()
+            meter.end_op(touched, adjusted)
             return FlowDelta(0)
         self._drop_arc(v, u)
         prev = {u: u}
@@ -193,7 +196,7 @@ class FlowNetwork:
         if v not in prev:
             # u reaches s back along the unit's path but not t, and t reaches
             # v: the search goes on from t through the auxiliary arc s->t
-            self.meter.touch(1)
+            meter.touch(1)
             prev[self.t] = self.s
             self._label(prev, self.t, v)
             self.F -= 1
@@ -201,7 +204,7 @@ class FlowNetwork:
         path = self._path(prev, u, v)
         self._push(path, skip_aux=dF < 0)
         self._regrow()
-        self.meter.end_op()
+        meter.end_op(touched, adjusted)
         return FlowDelta(dF, path)
 
     # -- auditing --------------------------------------------------------

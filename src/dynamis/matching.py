@@ -111,18 +111,24 @@ class DynamicMatching:
         return self.cardinality == static_max_matching(self.g.adj, self.mate)
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
-        """Apply one update; the operation is metered only once the graph accepts it."""
+        """Apply one update and return the change in cardinality with the pairs it made.
+
+        The operation is charged the growth of the meter's totals from here
+        to its end.  The graph validates the event before anything else
+        changes, so a rejected event raises with the matching, the forest and
+        the meter as they were.
+        """
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries are not matching updates")
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
         before = self.cardinality
         flipped: list[tuple[int, int]] = []
         if isinstance(event, InsertEdge):
             self.g.insert_edge(event.u, event.v)
-            self.meter.begin_op()
             flipped = self._absorb_edge(event.u, event.v)
         elif isinstance(event, InsertVertex):
             v = self.g.insert_vertex(event.neighbors)
-            self.meter.begin_op()
             if event.neighbors:
                 flipped = self.augment_from(v) or []
             else:  # an isolated vertex has no augmenting path
@@ -130,7 +136,6 @@ class DynamicMatching:
         elif isinstance(event, DeleteEdge):
             x, y = event.u, event.v
             self.g.delete_edge(x, y)
-            self.meter.begin_op()
             if self.parent.get(x) == y or self.parent.get(y) == x:
                 self._stale = True  # a walk or a blossom cycle may have used the edge
             if self.mate.get(x) == y:
@@ -141,19 +146,18 @@ class DynamicMatching:
         else:
             x = event.v
             self.g.delete_vertex(x)
-            self.meter.begin_op()
             y = self.mate.pop(x, None)
             if y is None:
                 self._stale = True  # x was a root, and its tree lost it
             else:
                 del self.mate[y]
                 flipped = self.augment_from(y) or []
-        self.meter.updates += 1
+        meter.updates += 1
         delta = MatchDelta(self.cardinality - before, flipped)
         if delta.delta > 0:
-            self.stage_touches.append(self.meter.edges_touched - self._stage_start)
-            self._stage_start = self.meter.edges_touched
-        self.meter.end_op()
+            self.stage_touches.append(meter.edges_touched - self._stage_start)
+            self._stage_start = meter.edges_touched
+        meter.end_op(touched, adjusted)
         return delta
 
     def _absorb_edge(self, u: int, v: int) -> list[tuple[int, int]]:

@@ -3,6 +3,14 @@
 ``edges_touched`` counts adjacency entries read or written inside algorithm
 logic (raw graph mutation is free), so totals line up with edge-touch
 accounting rather than wall time.
+
+An operation is one call of a public entry point (an update, or a
+membership query).  The entry point reads the totals before it dispatches
+and hands them to ``end_op`` once the work is done; the operation's figures
+are the growth of the totals in between, and ``end_op`` records them and
+raises the running maxima.  A rejected event raises before that, so it
+leaves the meter as it was, and set-up work in a constructor is never an
+operation: it raises the totals only.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ class CostMeter:
     updates: int = 0
     queries: int = 0
 
-    # per-operation figures, reset by begin_op()
+    # the last operation's figures, set by end_op()
     op_edges_touched: int = 0
     op_adjustments: int = 0
 
@@ -25,23 +33,20 @@ class CostMeter:
     max_op_edges_touched: int = 0
     max_op_adjustments: int = 0
 
-    def begin_op(self) -> None:
-        self.op_edges_touched = 0
-        self.op_adjustments = 0
-
-    def end_op(self) -> None:
-        if self.op_edges_touched > self.max_op_edges_touched:
-            self.max_op_edges_touched = self.op_edges_touched
-        if self.op_adjustments > self.max_op_adjustments:
-            self.max_op_adjustments = self.op_adjustments
+    def end_op(self, edges_before: int, adjustments_before: int) -> None:
+        """Closes an operation that began when the totals read these values."""
+        op = self.op_edges_touched = self.edges_touched - edges_before
+        if op > self.max_op_edges_touched:
+            self.max_op_edges_touched = op
+        op = self.op_adjustments = self.adjustments - adjustments_before
+        if op > self.max_op_adjustments:
+            self.max_op_adjustments = op
 
     def touch(self, count: int = 1) -> None:
         self.edges_touched += count
-        self.op_edges_touched += count
 
     def adjust(self, count: int = 1) -> None:
         self.adjustments += count
-        self.op_adjustments += count
 
     def totals(self) -> dict[str, int]:
         return {

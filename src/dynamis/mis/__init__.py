@@ -1,6 +1,6 @@
-from .simple import RemovalPolicy, SimpleMis
+from .simple import SimpleMis
 from .incremental import IncrementalMis
 from .twolevel import TwoLevelMis
 from .implicit import ImplicitMis
 
-__all__ = ["RemovalPolicy", "SimpleMis", "IncrementalMis", "TwoLevelMis", "ImplicitMis"]
+__all__ = ["SimpleMis", "IncrementalMis", "TwoLevelMis", "ImplicitMis"]

@@ -3,9 +3,11 @@
 ``UpdateLoop.apply`` rejects queries, hands each update to the class's four
 handlers, counts it, and then calls the class's ``_settle(log)`` for the
 work an update leaves behind (mis-2level's heavy MIS and phase check,
-mis-implicit's candidate step and epoch check).  Each handler begins the
-metered operation once the graph accepts the event, so a rejected event
-leaves the meter as it was.
+mis-implicit's candidate step and epoch check).  The loop reads the meter's
+totals before it dispatches and closes the operation after ``_settle``, so
+the update is charged its handler's work and its settling; a handler that
+rejects the event raises before it writes anything, and the meter is left
+as it was.
 
 ``CountMaintainer`` is the count-based maintainer of the paper: a set
 ``in_M`` and, for every vertex, the number ``count`` of its neighbours in
@@ -42,6 +44,8 @@ class UpdateLoop:
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries are not updates; ask the algorithm's membership query")
         log = AdjustmentLog()
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
         if isinstance(event, InsertEdge):
             self._insert_edge(event.u, event.v, log)
         elif isinstance(event, DeleteEdge):
@@ -50,11 +54,10 @@ class UpdateLoop:
             self._insert_vertex(event.neighbors, log)
         else:
             self._delete_vertex(event.v, log)
-        meter = self.meter
         meter.updates += 1
         self._settle(log)
+        meter.end_op(touched, adjusted)
         log.edges_touched = meter.op_edges_touched
-        meter.end_op()
         return log
 
     def _settle(self, log: AdjustmentLog) -> None:
@@ -92,7 +95,6 @@ class CountMaintainer(UpdateLoop):
     def _insert_counted(self, neighbors: tuple[int, ...]) -> int:
         """Inserts a vertex and appends its count; admitting it is the caller's."""
         v = self.g.insert_vertex(neighbors)
-        self.meter.begin_op()
         in_M = self.in_M
         self.count.append(sum(1 for w in neighbors if w in in_M))
         self.meter.touch(len(neighbors))
@@ -101,7 +103,6 @@ class CountMaintainer(UpdateLoop):
     def _delete_counted(self, v: int, log: AdjustmentLog) -> set[int]:
         """Deletes ``v``, first out of ``in_M``; returns its former neighbours, none admitted yet."""
         self.g._require(v)
-        self.meter.begin_op()
         nbrs = self.g.adj[v]  # the set outlives v's deletion from the graph
         # the walk over v's neighbours costs deg v once, charged by the leave
         # when v is a member

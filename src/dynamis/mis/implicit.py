@@ -73,10 +73,11 @@ class ImplicitMis(UpdateLoop):
 
     def in_mis_query(self, v: int) -> bool:
         self.g._require(v)
-        self.meter.begin_op()
-        self.meter.queries += 1
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
+        meter.queries += 1
         result = self._query(v)
-        self.meter.end_op()
+        meter.end_op(touched, adjusted)
         return result
 
     def verify(self) -> bool:
@@ -108,7 +109,6 @@ class ImplicitMis(UpdateLoop):
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
-        self.meter.begin_op()
         for x in (u, v):
             deg = len(self.g.adj[x])
             if x not in self.tracked:
@@ -127,7 +127,6 @@ class ImplicitMis(UpdateLoop):
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
-        self.meter.begin_op()
         self._drop_edge(u, v)
 
     def _drop_edge(self, u: int, v: int) -> None:
@@ -145,13 +144,11 @@ class ImplicitMis(UpdateLoop):
         if neighbors:
             raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
         v = self.g.insert_vertex(())
-        self.meter.begin_op()
         if self.eager:
             self._promote(v)
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
-        self.meter.begin_op()
         if v in self.in_S:
             self._leave_S(v, log)
         for w in sorted(self.g.adj[v]):

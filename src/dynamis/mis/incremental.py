@@ -7,16 +7,18 @@ degree (ties evict the higher id).  Deletions are rejected.
 
 from __future__ import annotations
 
-from ..graph import DynGraph
 from ..meter import AdjustmentLog
 from ..stream import UpdateEvent, require_insertion
-from .simple import RemovalPolicy, SimpleMis
+from .simple import SimpleMis
 
 
 class IncrementalMis(SimpleMis):
-    def __init__(self, g: DynGraph):
-        super().__init__(g, RemovalPolicy.LOWER_DEGREE)
-
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         require_insertion(event)
         return super().apply(event)
+
+    def _pick_victim(self, u: int, v: int) -> int:
+        du, dv = len(self.g.adj[u]), len(self.g.adj[v])
+        if du != dv:
+            return u if du < dv else v
+        return max(u, v)

@@ -2,30 +2,22 @@
 
 Every vertex carries the number of its neighbors currently in the maintained
 set M.  A vertex outside M with count zero is always admitted; on an edge
-insertion joining two members, one endpoint is evicted according to the
-configured removal policy and the freed neighbors are re-admitted in
+insertion joining two members, the first endpoint is evicted (a subclass
+may pick the victim otherwise) and the freed neighbors are re-admitted in
 ascending id order.  The counts and the admission are the shared
 ``CountMaintainer``, run here on the whole graph.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
 from .base import CountMaintainer, UpdateLoop
 
 
-class RemovalPolicy(Enum):
-    FIRST_ENDPOINT = "first-endpoint"
-    LOWER_DEGREE = "lower-degree"
-
-
 class SimpleMis(CountMaintainer):
-    def __init__(self, g: DynGraph, policy: RemovalPolicy = RemovalPolicy.FIRST_ENDPOINT):
+    def __init__(self, g: DynGraph):
         self.g = g
-        self.policy = policy
         self.meter = CostMeter()
         self.in_M: set[int] = set()
         self.count: list[int] = [0] * g.id_bound
@@ -50,7 +42,6 @@ class SimpleMis(CountMaintainer):
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M:
             self.count[v] += 1
         if v in self.in_M:
@@ -62,7 +53,6 @@ class SimpleMis(CountMaintainer):
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M and v not in self.in_M:
             self.count[v] -= 1
             if self.count[v] == 0:
@@ -84,9 +74,4 @@ class SimpleMis(CountMaintainer):
     # -- internals -------------------------------------------------------
 
     def _pick_victim(self, u: int, v: int) -> int:
-        if self.policy is RemovalPolicy.FIRST_ENDPOINT:
-            return u
-        du, dv = len(self.g.adj[u]), len(self.g.adj[v])
-        if du != dv:
-            return u if du < dv else v
-        return max(u, v)
+        return u

@@ -145,7 +145,6 @@ class TwoLevelMis(CountMaintainer):
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M:
             self.count[v] += 1
         if v in self.in_M:
@@ -159,7 +158,6 @@ class TwoLevelMis(CountMaintainer):
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M:
             self.count[v] -= 1
         if v in self.in_M:

@@ -211,10 +211,16 @@ def test_cli_run_non_utf8_file_exits_2(tmp_path, capsys):
     assert captured.err.startswith("error: stream is not UTF-8") and captured.out == ""
 
 
-def test_cli_run_non_utf8_stdin_exits_2(tmp_path):
-    # a strict UTF-8 stdin raises UnicodeDecodeError on the read itself
+@pytest.mark.parametrize(
+    "encoding",
+    [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],  # the C locale reads text with surrogateescape
+    ids=["strict-utf8", "c-locale"],
+)
+def test_cli_run_non_utf8_stdin_exits_2(tmp_path, encoding):
+    # stdin is read as bytes and decoded strictly, whatever its text encoding
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8:strict")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
+    env.update(encoding, PYTHONPATH=src)
     run = subprocess.run(
         [sys.executable, "-m", "dynamis", "run", "mis-simple", "-"],
         cwd=tmp_path, env=env, input=b"\xff\xfe+e 0 1\n", capture_output=True,
@@ -293,7 +299,7 @@ def test_cli_gen_probability_out_of_range_exits_2(capsys):
 def test_cli_run_stdin(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(TOY))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(TOY.encode())))
     assert main(["run", "mis-simple", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["stream"]["events"] == 3
 

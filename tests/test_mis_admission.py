@@ -2,11 +2,10 @@
 
 Each reference subclass keeps the earlier code verbatim: admission sorts the
 whole candidate set and tests every member, and mis-2level's phase rebuild
-walks every vertex.  Three things follow the current handlers: liveness is
-tested with ``g.is_live``, since the counts are id-indexed lists, an
-overridden handler begins the metered operation once the graph accepts the
-event, and mis-2level's reference keeps no index of heavy neighbours, so a
-heavy vertex insertion charges a single pass over its neighbours.  Every
+walks every vertex.  Two things follow the current handlers: liveness is
+tested with ``g.is_live``, since the counts are id-indexed lists, and
+mis-2level's reference keeps no index of heavy neighbours, so a heavy vertex
+insertion charges a single pass over its neighbours.  Every
 ``apply`` must log the same changes in the same order and charge the same
 ``edges_touched`` as the real class.
 """
@@ -23,7 +22,6 @@ from dynamis.stream import QueryInMis
 class ReferenceSimpleMis(SimpleMis):
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M and v not in self.in_M:
             self.count[v] -= 1
             self._admit_zeros((v,), log)
@@ -72,7 +70,6 @@ class ReferenceTwoLevelMis(TwoLevelMis):
 
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
-        self.meter.begin_op()
         if u in self.in_M:
             self.count[v] -= 1
         if v in self.in_M:
@@ -84,7 +81,6 @@ class ReferenceTwoLevelMis(TwoLevelMis):
 
     def _insert_vertex(self, neighbors, log):
         v = self.g.insert_vertex(neighbors)
-        self.meter.begin_op()
         self.count[v] = sum(1 for w in neighbors if w in self.in_M)
         self.meter.touch(len(neighbors))
         if len(neighbors) >= self.delta_c:

@@ -9,7 +9,6 @@ from dynamis import (
     InsertEdge,
     InsertVertex,
     QueryInMis,
-    RemovalPolicy,
     SimpleMis,
 )
 from dynamis.errors import IncompatibleStreamError
@@ -174,12 +173,11 @@ def _random_stream(rng, n, events):
     return ops
 
 
-@pytest.mark.parametrize("policy", list(RemovalPolicy))
 @pytest.mark.parametrize("seed", range(12))
-def test_random_streams_stay_mis(policy, seed):
+def test_random_streams_stay_mis(seed):
     rng = random.Random(seed)
     g = DynGraph(10)
-    alg = SimpleMis(g, policy=policy)
+    alg = SimpleMis(g)
     for event in _random_stream(rng, 10, 120):
         log = alg.apply(event)
         assert len(log.removed) <= 1, "more than one vertex left M in one update"
