@@ -37,6 +37,12 @@ class Algorithm:
     ``oracle(alg, graph(alg))``, which returns a failure detail or None.
     ``graph(alg)`` is also the structure whose ``n`` and ``m`` the report
     gives.
+
+    ``query`` names the method that answers In-MIS queries.  On all four MIS
+    classes it is the one metered query operation, ``UpdateLoop._query_op``,
+    bound per class; the row still names it because the benchmark's tracer
+    wraps ``contains`` and ``in_mis_query`` by those names, until the
+    benchmark reads this registry instead.
     """
 
     build: Callable[[UpdateStream], Any]

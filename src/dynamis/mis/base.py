@@ -1,4 +1,4 @@
-"""The update loop and the count maintainer that the MIS algorithms share.
+"""The update loop, the query operation and the count maintainer the MIS algorithms share.
 
 ``UpdateLoop.apply`` rejects queries, hands each update to the class's four
 handlers, counts it, and then calls the class's ``_settle(log)`` for the
@@ -7,22 +7,33 @@ mis-implicit's candidate step and epoch check).  The loop reads the meter's
 totals before it dispatches and closes the operation after ``_settle``, so
 the update is charged its handler's work and its settling; a handler that
 rejects the event raises before it writes anything, and the meter is left
-as it was.
+as it was.  ``UpdateLoop._query_op`` is the In-MIS query, one operation in
+the same way: it checks the vertex, counts the query, asks the class's
+``_query(v)`` and closes the operation.
 
-``CountMaintainer`` is the count-based maintainer of the paper: a set
-``in_M`` and, for every vertex, the number ``count`` of its neighbours in
-``in_M``.  A vertex outside ``in_M`` with count zero is admitted; admission
-re-checks the candidates at count zero in ascending id order.  mis-simple
-and mis-inc run it on the whole graph, and mis-2level's light level is the
-same maintainer with heavy vertices kept out.
+``CountMaintainer`` is the count-based maintainer of the paper, written once
+for mis-simple, mis-inc and mis-2level.  It keeps a light level and a heavy
+level.  The light level is a set ``in_M`` and, for every vertex, the number
+``count`` of its neighbours in ``in_M``; a light vertex outside ``in_M``
+with count zero is admitted, and admission re-checks the candidates at
+count zero in ascending id order.  The heavy level is the set ``heavy`` of
+vertices of degree at least ``delta_c``, kept out of ``in_M``, and their
+MIS ``heavy_mis``; a vertex crossing ``delta_c`` migrates at once.  The
+answer is ``in_M | heavy_mis``.  mis-simple and mis-inc are the light level
+with no heavy vertices: their ``delta_c`` is a degree no vertex reaches.
+mis-2level sets ``delta_c`` per phase and rebuilds ``heavy_mis`` after
+every update.  The handlers guard the heavy level's work, so the light-only
+path pays one degree comparison per endpoint of an inserted edge and one
+emptiness test per deletion.
 
 ``count`` is a list indexed by vertex id, of length ``g.id_bound``: ids are
 dense and never reused, so a vertex insertion appends its count and a
 deletion zeroes its slot.  Dead ids hold 0 and are never read.
 
 The benchmark's tracer wraps a method only on the class that defines it, so
-each algorithm binds the loop in its own namespace: ``apply =
-UpdateLoop.apply``.
+each algorithm binds the loop and the query in its own namespace: ``apply =
+UpdateLoop.apply``, and ``contains`` or ``in_mis_query =
+UpdateLoop._query_op``.
 """
 
 from __future__ import annotations
@@ -63,10 +74,107 @@ class UpdateLoop:
     def _settle(self, log: AdjustmentLog) -> None:
         """Work that follows every update; none by default."""
 
+    def _query_op(self, v: int) -> bool:
+        self.g._require(v)
+        meter = self.meter
+        touched, adjusted = meter.edges_touched, meter.adjustments
+        meter.queries += 1
+        result = self._query(v)
+        meter.end_op(touched, adjusted)
+        return result
+
 
 class CountMaintainer(UpdateLoop):
     in_M: set[int]
     count: list[int]
+    heavy: set[int]
+    heavy_mis: set[int]
+    delta_c: int
+
+    def mis(self) -> set[int]:
+        return self.in_M | self.heavy_mis
+
+    def _query(self, v: int) -> bool:
+        return v in self.in_M or v in self.heavy_mis
+
+    # -- event handlers --------------------------------------------------
+
+    def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+        self.g.insert_edge(u, v)
+        adj, in_M, count, delta_c = self.g.adj, self.in_M, self.count, self.delta_c
+        if u in in_M:
+            count[v] += 1
+        if v in in_M:
+            count[u] += 1
+        if len(adj[u]) >= delta_c and u not in self.heavy:
+            self._migrate_to_heavy(u, log)
+        if len(adj[v]) >= delta_c and v not in self.heavy:
+            self._migrate_to_heavy(v, log)
+        if u in in_M and v in in_M:
+            victim = self._pick_victim(u, v)
+            self._leave(victim, log)
+            self._admit_zeros(adj[victim], log)
+
+    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+        self.g.delete_edge(u, v)
+        in_M, count, heavy = self.in_M, self.count, self.heavy
+        # u and v were adjacent, so at most one of them is a member; only the
+        # other one's count drops, and only it can reach zero
+        x = v if u in in_M else u if v in in_M else None
+        if x is not None:
+            count[x] -= 1
+        if heavy:
+            adj, delta_c = self.g.adj, self.delta_c
+            for y in (u, v):
+                if y in heavy and len(adj[y]) < delta_c:
+                    self._migrate_to_light(y, log)
+        if x is not None and count[x] == 0 and x not in in_M and x not in heavy:
+            self._enter(x, log)
+
+    def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
+        v = self._insert_counted(neighbors)
+        adj, heavy, delta_c = self.g.adj, self.heavy, self.delta_c
+        if len(neighbors) >= delta_c:
+            heavy.add(v)
+        for w in neighbors:
+            if w not in heavy and len(adj[w]) >= delta_c:
+                self._migrate_to_heavy(w, log)
+        # a neighbour's migration may have admitted v already
+        if self.count[v] == 0 and v not in self.in_M and v not in heavy:
+            self._enter(v, log)
+
+    def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
+        nbrs = self._delete_counted(v, log)
+        heavy = self.heavy
+        if heavy:
+            heavy.discard(v)
+            if v in self.heavy_mis:
+                self.heavy_mis.discard(v)
+                self.meter.adjust()
+                log.leave(v)
+            adj, delta_c = self.g.adj, self.delta_c
+            for w in sorted(nbrs):
+                if w in heavy and len(adj[w]) < delta_c:
+                    self._migrate_to_light(w, log)
+        # only v's neighbours can reach count zero, and only if v was a member
+        self._admit_zeros(nbrs, log)
+
+    # -- internals -------------------------------------------------------
+
+    def _pick_victim(self, u: int, v: int) -> int:
+        return u
+
+    def _migrate_to_heavy(self, v: int, log: AdjustmentLog) -> None:
+        self.heavy.add(v)
+        if v in self.in_M:
+            self._leave(v, log)
+            self._admit_zeros(self.g.adj[v], log)
+
+    def _migrate_to_light(self, v: int, log: AdjustmentLog) -> None:
+        self.heavy.discard(v)
+        self.heavy_mis.discard(v)
+        if self.count[v] == 0:
+            self._enter(v, log)
 
     def _greedy(self, vertices: Iterable[int]) -> None:
         """Adds each of ``vertices`` at count zero, in the given order; no adjustment is counted."""
@@ -135,7 +243,7 @@ class CountMaintainer(UpdateLoop):
     def _admit_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
         # Candidates are live.  An entry only raises counts, so only those at
         # count zero now can enter; they are re-checked in id order.
-        count, in_M = self.count, self.in_M
+        count, in_M, heavy = self.count, self.in_M, self.heavy
         for w in sorted(filterfalse(count.__getitem__, candidates)):
-            if count[w] == 0 and w not in in_M:
+            if count[w] == 0 and w not in in_M and w not in heavy:
                 self._enter(w, log)

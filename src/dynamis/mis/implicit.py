@@ -71,14 +71,7 @@ class ImplicitMis(UpdateLoop):
 
     apply = UpdateLoop.apply
 
-    def in_mis_query(self, v: int) -> bool:
-        self.g._require(v)
-        meter = self.meter
-        touched, adjusted = meter.edges_touched, meter.adjustments
-        meter.queries += 1
-        result = self._query(v)
-        meter.end_op(touched, adjusted)
-        return result
+    in_mis_query = UpdateLoop._query_op
 
     def verify(self) -> bool:
         """Full-rescan check of independence, tracking and count invariants."""

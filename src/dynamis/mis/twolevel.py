@@ -1,20 +1,21 @@
 """Fully dynamic MIS with a heavy/light degree split.
 
-Light vertices (degree below the phase threshold) run the count-based
-maintainer among themselves: the light level is the shared
-``CountMaintainer``, its ``in_M`` the light MIS and its ``count`` each
-vertex's number of neighbours there, with heavy vertices kept out of it.
-After every update the MIS of the heavy-induced subgraph is rebuilt from
-scratch over the heavy vertices with no light neighbor in the light MIS.
-The threshold is re-baselined whenever the edge count drifts by a factor of
-two since the phase started.
+mis-2level is the shared ``CountMaintainer`` with a heavy level: ``delta_c``
+is the phase threshold, the smallest d with d**3 >= m_c**2, where m_c is
+the edge count when the phase began.  Light vertices (degree below
+``delta_c``) run the count-based maintainer among themselves, its ``in_M``
+the light MIS.  After every update this class rebuilds the MIS of the
+heavy-induced subgraph from scratch over the heavy vertices with no
+neighbour in the light MIS, and it re-baselines the phase whenever the edge
+count drifts by a factor of two.  The handlers, the migrations and the
+admission are the maintainer's; this class keeps the phases, the heavy-MIS
+rebuild and the audit.
 
-Classification follows the current degree: a vertex crossing the threshold
-migrates at once.  No index of heavy neighbours is kept, so a migration
-itself reads no adjacency; it scans its neighbours only when it changes the
-light MIS.  The heavy MIS rebuild tests ``adj[v].isdisjoint(chosen)``, which
-walks the smaller set; ``chosen`` holds heavy vertices only, so each test
-costs at most min(deg v, |heavy|) and the rebuild at most |heavy|**2.
+No index of heavy neighbours is kept, so a migration itself reads no
+adjacency; it scans its neighbours only when it changes the light MIS.  The
+heavy MIS rebuild tests ``adj[v].isdisjoint(chosen)``, which walks the
+smaller set; ``chosen`` holds heavy vertices only, so each test costs at
+most min(deg v, |heavy|) and the rebuild at most |heavy|**2.
 
 ``count`` is the maintainer's id-indexed list; isolated and dead vertices
 hold 0.
@@ -30,7 +31,6 @@ vertices and no heavy MIS.
 from __future__ import annotations
 
 from itertools import compress, filterfalse
-from typing import Iterable
 
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
@@ -60,16 +60,8 @@ class TwoLevelMis(CountMaintainer):
         self.in_M: set[int] = set(g.vertices())
         self._init_phase(self._non_isolated())
 
-    # -- public surface --------------------------------------------------
-
-    def mis(self) -> set[int]:
-        return self.in_M | self.heavy_mis
-
-    def contains(self, v: int) -> bool:
-        self.g._require(v)
-        return v in self.in_M or v in self.heavy_mis
-
     apply = UpdateLoop.apply
+    contains = UpdateLoop._query_op
 
     def verify(self) -> bool:
         """Full-rescan audit of classification, counts and both MIS levels."""
@@ -141,78 +133,7 @@ class TwoLevelMis(CountMaintainer):
             log.enter(v)
         self.meter.adjust(len(before ^ after))
 
-    # -- event handlers --------------------------------------------------
-
-    def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
-        self.g.insert_edge(u, v)
-        if u in self.in_M:
-            self.count[v] += 1
-        if v in self.in_M:
-            self.count[u] += 1
-        for x in (u, v):
-            if x not in self.heavy and len(self.g.adj[x]) >= self.delta_c:
-                self._migrate_to_heavy(x, log)
-        if u in self.in_M and v in self.in_M:
-            self._leave(u, log)
-            self._admit_zeros(self.g.adj[u], log)
-
-    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
-        self.g.delete_edge(u, v)
-        if u in self.in_M:
-            self.count[v] -= 1
-        if v in self.in_M:
-            self.count[u] -= 1
-        for x in (u, v):
-            if x in self.heavy and len(self.g.adj[x]) < self.delta_c:
-                self._migrate_to_light(x, log)
-        # u and v are no longer adjacent, so admitting one cannot block the other
-        for x in ((u, v) if u < v else (v, u)):
-            if self.count[x] == 0 and x not in self.in_M and x not in self.heavy:
-                self._enter(x, log)
-
-    def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
-        v = self._insert_counted(neighbors)
-        if len(neighbors) >= self.delta_c:
-            self.heavy.add(v)
-        for w in neighbors:
-            if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
-                self._migrate_to_heavy(w, log)
-        if self.count[v] == 0 and v not in self.in_M and v not in self.heavy:
-            self._enter(v, log)
-
-    def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
-        nbrs = sorted(self._delete_counted(v, log))
-        self.heavy.discard(v)
-        if v in self.heavy_mis:
-            self.heavy_mis.discard(v)
-            self.meter.adjust()
-            log.leave(v)
-        for w in nbrs:
-            if w in self.heavy and len(self.g.adj[w]) < self.delta_c:
-                self._migrate_to_light(w, log)
-        self._admit_zeros(nbrs, log)
-
-    # -- internals -------------------------------------------------------
-
-    def _migrate_to_heavy(self, v: int, log: AdjustmentLog) -> None:
-        self.heavy.add(v)
-        if v in self.in_M:
-            self._leave(v, log)
-            self._admit_zeros(self.g.adj[v], log)
-
-    def _migrate_to_light(self, v: int, log: AdjustmentLog) -> None:
-        self.heavy.discard(v)
-        self.heavy_mis.discard(v)
-        if self.count[v] == 0:
-            self._enter(v, log)
-
-    def _admit_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
-        # Candidates are live.  An entry only raises counts, so only those at
-        # count zero now can enter; they are re-checked in id order.
-        count, in_M, heavy = self.count, self.in_M, self.heavy
-        for w in sorted(filterfalse(count.__getitem__, candidates)):
-            if count[w] == 0 and w not in in_M and w not in heavy:
-                self._enter(w, log)
+    # -- heavy MIS -------------------------------------------------------
 
     def _rebuild_heavy_mis(self, log: AdjustmentLog, account: bool = True) -> None:
         adj, count = self.g.adj, self.count

@@ -238,6 +238,18 @@ def test_cli_run_emits_query_lines_before_report(tmp_path, capsys):
     assert json.loads("\n".join(out[2:]))["query_results"] == [[0, 1], [1, 0]]
 
 
+@pytest.mark.parametrize("algorithm", ["mis-simple", "mis-inc", "mis-2level", "mis-implicit"])
+def test_cli_run_counts_every_query(algorithm, tmp_path, capsys):
+    # every In-MIS query is one metered operation, whichever row answers it
+    path = tmp_path / "q.txt"
+    path.write_text("n 3\n+e 0 1\n? 0\n? 2\n")
+    assert main(["run", algorithm, str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    report = json.loads("\n".join(out[2:]))
+    assert report["totals"]["queries"] == 2 and report["totals"]["updates"] == 1
+    assert [v for v, _ in report["query_results"]] == [0, 2]
+
+
 def test_cli_run_writes_report_file(tmp_path, capsys):
     stream = tmp_path / "toy.txt"
     stream.write_text(TOY)

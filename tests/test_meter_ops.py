@@ -1,10 +1,13 @@
 """The per-operation meter contract, for every registry row.
 
-An operation is one call of an entry point: ``apply``, or mis-implicit's
-``in_mis_query``.  Its figures are the growth of the meter's totals across
-the call, and the maxima are the running maxima of those figures.  A
-rejected event leaves the whole structure, its meter included, as it was,
-and the set-up work a constructor does is never an operation.
+An operation is one call of an entry point: ``apply``, or an MIS row's
+In-MIS query, the method its registry row names (``contains`` or
+``in_mis_query``).  Its figures are the growth of the meter's totals across
+the call, and the maxima are the running maxima of those figures; an
+accepted update counts one update and an accepted query one query.  A
+rejected event or query (unknown or dead ids, parallel or missing edges,
+unsupported kinds) leaves the whole structure, its meter included, as it
+was, and the set-up work a constructor does is never an operation.
 """
 
 import pickle
@@ -60,8 +63,10 @@ def _random_call(rng, alg, row):
         return alg.apply, InsertVertex(tuple(pick() for _ in range(k)))
     if r < 0.85:
         return alg.apply, DeleteVertex(pick())
-    if row.query == "in_mis_query":
-        return alg.in_mis_query, pick()
+    # apply refuses queries on every row; an MIS row answers them through
+    # its query entry
+    if row.query and rng.random() < 0.7:
+        return getattr(alg, row.query), pick()
     return alg.apply, QueryInMis(pick())
 
 
@@ -78,6 +83,7 @@ def test_op_figures_are_the_growth_of_the_totals(name, seed):
         call, arg = _random_call(rng, alg, row)
         before = pickle.dumps(alg)
         touched, adjusted = meter.edges_touched, meter.adjustments
+        counted = meter.updates + meter.queries
         try:
             call(arg)
         except DynamisError:
@@ -85,6 +91,7 @@ def test_op_figures_are_the_growth_of_the_totals(name, seed):
             assert pickle.dumps(alg) == before, arg
             continue
         accepted += 1
+        assert meter.updates + meter.queries == counted + 1, arg
         assert meter.op_edges_touched == meter.edges_touched - touched, arg
         assert meter.op_adjustments == meter.adjustments - adjusted, arg
         max_touched = max(max_touched, meter.op_edges_touched)

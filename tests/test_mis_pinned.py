@@ -77,16 +77,16 @@ def _digest(algorithm, name):
 
 
 PINNED = {
-    ("mis-simple", "random-edges/40"): "3894d490ec8b87f0",
-    ("mis-simple", "random-edges/30"): "f1d1d210c77799a9",
+    ("mis-simple", "random-edges/40"): "41d29d6bc12e8e01",
+    ("mis-simple", "random-edges/30"): "4122943c23de065c",
     ("mis-simple", "arbitrary-removal"): "97b6d3a6f1098f16",
     ("mis-simple", "degree-biased"): "b6279c599e99e9bd",
-    ("mis-inc", "random-edges/40"): "69420483d9da0625",
-    ("mis-inc", "random-edges/30"): "175c3692bac059a1",
+    ("mis-inc", "random-edges/40"): "0cedfff679631290",
+    ("mis-inc", "random-edges/30"): "d11349f3474da720",
     ("mis-inc", "arbitrary-removal"): "538a550264362e62",
     ("mis-inc", "degree-biased"): "ef719d3889188389",
-    ("mis-2level", "random-edges/40"): "21e10ce008d0952a",
-    ("mis-2level", "random-edges/30"): "e196a88f3d4e5586",
+    ("mis-2level", "random-edges/40"): "6dcbc7b3ff5fce88",
+    ("mis-2level", "random-edges/30"): "32b4baa7831dff39",
     ("mis-2level", "arbitrary-removal"): "ece9531a5ef20001",
     ("mis-2level", "degree-biased"): "c11d0c943fdcea03",
     ("mis-implicit", "random-edges/40"): "648ef0a44d9e27fe",

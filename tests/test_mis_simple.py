@@ -116,6 +116,15 @@ def test_verify_catches_nonmaximal():
     assert not alg.verify()
 
 
+@pytest.mark.parametrize("level", ["heavy", "heavy_mis"])
+def test_verify_catches_a_heavy_vertex(level):
+    # mis-simple is the light level alone: its heavy level stays empty, even
+    # where in_M and the counts still check out
+    alg = SimpleMis(build(3, [(0, 1)]))
+    getattr(alg, level).add(2)
+    assert not alg.verify()
+
+
 def test_counts_cover_every_id():
     g = build(4, [(0, 1), (1, 2)])
     alg = SimpleMis(g)
