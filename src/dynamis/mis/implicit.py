@@ -5,22 +5,26 @@ evicts one endpoint, so S stays independent at worst-case cost bounded by the
 number of tracked (high-degree) neighbors.  Membership queries lazily admit
 the queried vertex when legal, so sweeping all vertices materializes an MIS.
 
-Tracked vertices keep an exact count of neighbors in S.  Tracking follows two
-thresholds derived from the epoch baseline m_c: degree above ceil(sqrt(m_c))
-forces immediate tracking, degree above ceil(sqrt(m_c/2)) queues the vertex
-as a candidate, and one candidate is promoted per update so that every future
-heavy vertex is already tracked when the baseline halves.  Below a small m_c
-floor every vertex is tracked; the thresholds would be degenerate there.
+Tracked vertices keep an exact count of neighbors in S.  One rule holds at
+every epoch baseline m_c >= 1: degree above tau = ceil(sqrt(m_c)) forces
+immediate tracking, and degree above ceil(sqrt(m_c/2)), the tau of the
+halved baseline, queues the vertex as a candidate; one candidate is promoted
+per update, so that few are left to promote when m_c halves.  ``_classify``
+applies the rule to every untracked vertex in one pass.  The constructor
+calls it, and so does an update that halves m_c, once, at the final
+thresholds: it promotes the candidates left above the new tau, and any
+vertex that a halving from an odd m_c puts above tau although it never was
+a candidate.
 
 No index of tracked neighbors is kept: a vertex entering or leaving S reads
 ``adj[v] & tracked``, which walks the smaller set, so it costs
-min(deg v, |tracked|) and is metered as such; outside eager mode
-|tracked| * ceil(sqrt(m_c/2)) <= 4m keeps that O(min(deg v, sqrt(m))).
-Promotion reads ``adj[v] & S`` once for the count, and demotion reads no
-adjacency, so a doubling of m that demotes many vertices at once reads only
-their degrees (unmetered).  That demotion builds a fresh ``tracked`` set: a
-set never shrinks its table on discard, and every later intersection would
-walk the old table.
+min(deg v, |tracked|) and is metered as such; every tracked vertex has degree
+above ceil(sqrt(m_c/2)), so |tracked| * ceil(sqrt(m_c/2)) <= 4m keeps that
+O(min(deg v, sqrt(m))).  Promotion reads ``adj[v] & S`` once for the count,
+and demotion reads no adjacency, so a doubling of m that demotes many
+vertices at once reads only their degrees (unmetered).  That demotion builds
+a fresh ``tracked`` set: a set never shrinks its table on discard, and every
+later intersection would walk the old table.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from ..errors import VertexUpdateUnsupportedError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
 from .base import UpdateLoop
-
-EAGER_FLOOR = 64
 
 
 def _ceil_sqrt(x: int) -> int:
@@ -49,20 +51,11 @@ class ImplicitMis(UpdateLoop):
         self.candidates: set[int] = set()
         self.m_c = max(g.m, 1)
         self._set_thresholds()
-        if self.eager:
-            for v in g.vertices():
-                self._promote(v)
-        else:
-            for v in g.vertices():
-                if len(g.adj[v]) > self.tau:
-                    self._promote(v)
-                elif len(g.adj[v]) > self.cand_thresh:
-                    self.candidates.add(v)
+        self._classify()
 
     def _set_thresholds(self) -> None:
         self.tau = _ceil_sqrt(self.m_c)
         self.cand_thresh = _ceil_sqrt((self.m_c + 1) // 2)
-        self.eager = self.m_c < EAGER_FLOOR
 
     # -- public surface --------------------------------------------------
 
@@ -78,8 +71,6 @@ class ImplicitMis(UpdateLoop):
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):
             return False
-        if self.eager and self.tracked != g.adj.keys():  # eager mode tracks every live vertex
-            return False
         for v in self.in_S:
             if g.adj[v] & self.in_S:
                 return False
@@ -93,15 +84,19 @@ class ImplicitMis(UpdateLoop):
                 return False
         if not self.candidates.isdisjoint(self.tracked):
             return False
-        if not self.eager and self.cand_thresh > 0:
-            if len(self.tracked) * self.cand_thresh > 4 * max(g.m, 1):
-                return False
-        return True
+        return len(self.tracked) * self.cand_thresh <= 4 * max(g.m, 1)
 
     # -- event handlers --------------------------------------------------
 
     def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.insert_edge(u, v)
+        # count the edge before promoting: a promotion counts it already
+        if u in self.in_S and v in self.tracked:
+            self.hcount[v] += 1
+            self.meter.touch()
+        if v in self.in_S and u in self.tracked:
+            self.hcount[u] += 1
+            self.meter.touch()
         for x in (u, v):
             deg = len(self.g.adj[x])
             if x not in self.tracked:
@@ -109,12 +104,6 @@ class ImplicitMis(UpdateLoop):
                     self._promote(x)
                 elif deg > self.cand_thresh:
                     self.candidates.add(x)
-        if u in self.in_S and v in self.tracked:
-            self.hcount[v] += 1
-            self.meter.touch()
-        if v in self.in_S and u in self.tracked:
-            self.hcount[u] += 1
-            self.meter.touch()
         if u in self.in_S and v in self.in_S:
             self._leave_S(max(u, v), log)
 
@@ -136,9 +125,7 @@ class ImplicitMis(UpdateLoop):
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
         if neighbors:
             raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
-        v = self.g.insert_vertex(())
-        if self.eager:
-            self._promote(v)
+        self.g.insert_vertex(())
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
         self.g._require(v)
@@ -194,7 +181,7 @@ class ImplicitMis(UpdateLoop):
         self.meter.touch(len(self.g.adj[v]))
 
     def _recheck_after_degree_drop(self, v: int) -> None:
-        if self.eager or len(self.g.adj[v]) > self.cand_thresh:
+        if len(self.g.adj[v]) > self.cand_thresh:
             return
         if v in self.tracked:
             # demotion reads no adjacency
@@ -205,7 +192,7 @@ class ImplicitMis(UpdateLoop):
 
     def _settle(self, log: AdjustmentLog) -> None:
         candidates = self.candidates
-        if candidates and not self.eager:
+        if candidates:
             c = min(candidates)
             candidates.discard(c)
             if len(self.g.adj[c]) > self.cand_thresh:
@@ -216,27 +203,10 @@ class ImplicitMis(UpdateLoop):
 
     def _epoch_transitions(self) -> None:
         m = self.g.m
-        while m >= 2 * self.m_c:
-            self.m_c *= 2
-            self._apply_new_thresholds(grew=True)
-            m = self.g.m
-        while m <= self.m_c // 2 and self.m_c > 1:
-            self.m_c //= 2
-            self._apply_new_thresholds(grew=False)
-            m = self.g.m
-
-    def _apply_new_thresholds(self, grew: bool) -> None:
-        was_eager = self.eager
-        self._set_thresholds()
-        if self.eager:
-            # in eager mode every live vertex is tracked already
-            if not was_eager:
-                for v in self.g.vertices():
-                    if v not in self.tracked:
-                        self._promote(v)
-                self.candidates.clear()
-            return
-        if grew:
+        if m >= 2 * self.m_c:
+            while m >= 2 * self.m_c:
+                self.m_c *= 2
+            self._set_thresholds()
             stale = {v for v in self.tracked if len(self.g.adj[v]) <= self.cand_thresh}
             # a fresh set: discard never shrinks a set's table, and every
             # adj[v] & tracked would walk the old one
@@ -245,12 +215,22 @@ class ImplicitMis(UpdateLoop):
                 del self.hcount[v]
             self.candidates = {v for v in self.candidates if len(self.g.adj[v]) > self.cand_thresh}
         else:
-            for v in [v for v in self.candidates if len(self.g.adj[v]) > self.tau]:
+            while m <= self.m_c // 2 and self.m_c > 1:
+                self.m_c //= 2
+            self._set_thresholds()
+            self._classify()
+
+    def _classify(self) -> None:
+        """Track every untracked vertex above tau; pool those above the candidate threshold."""
+        adj, tracked, pool = self.g.adj, self.tracked, set()
+        # degree comparisons only; the scan reads no adjacency entries, so
+        # only the promotions are metered
+        for v in self.g.vertices():
+            if v in tracked:
+                continue
+            deg = len(adj[v])
+            if deg > self.tau:
                 self._promote(v)
-            # degree comparisons only; rebuilding the candidate pool reads no
-            # adjacency entries, so it is not metered
-            self.candidates = {
-                v
-                for v in self.g.vertices()
-                if v not in self.tracked and len(self.g.adj[v]) > self.cand_thresh
-            }
+            elif deg > self.cand_thresh:
+                pool.add(v)
+        self.candidates = pool

@@ -6,7 +6,7 @@ import pytest
 from dynamis import DeleteEdge, DeleteVertex, DynGraph, ImplicitMis, InsertEdge, InsertVertex
 from dynamis.bench import stream_for_size
 from dynamis.errors import MissingEdgeError, VertexUpdateUnsupportedError
-from dynamis.mis.implicit import EAGER_FLOOR, _ceil_sqrt
+from dynamis.mis.implicit import _ceil_sqrt
 from dynamis.oracles import is_mis
 
 
@@ -42,8 +42,9 @@ def test_insert_with_endpoint_outside_set():
     log = alg.apply(InsertEdge(3, 2))  # 2 in S, 3 out: no S change
     assert log.changes == []
     assert alg.in_S == {0, 1, 2}
-    # with m_c under the floor everything is tracked, so 3's count is exact
-    assert alg.hcount[3] == 2
+    # 3's degree, 2, is above tau = 1, so the insertion promotes 3 with an
+    # exact count
+    assert 3 in alg.tracked and alg.hcount[3] == 2
     assert alg.verify()
 
 
@@ -120,14 +121,6 @@ def test_audit_catches_stale_count():
     assert not alg.verify()
 
 
-def test_audit_catches_untracked_vertex_in_eager_mode():
-    alg = ImplicitMis(build(10, [(0, 1), (1, 2)]))
-    assert alg.eager and alg.verify()
-    # vertex 5 is isolated, so only the eager-mode check requires it tracked
-    alg.tracked.discard(5)
-    assert not alg.verify()
-
-
 def test_audit_catches_dependent_pair():
     alg = ImplicitMis(build(2, [(0, 1)]))
     alg.in_S = {0, 1}
@@ -176,11 +169,11 @@ def test_epoch_transitions_under_growth_and_shrink(seed):
     alg = ImplicitMis(g)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    chosen = pairs[: EAGER_FLOOR + 80]
+    chosen = pairs[:144]
     for u, v in chosen:
         alg.apply(InsertEdge(u, v))
         assert alg.verify()
-    assert not alg.eager
+    assert alg.m_c == 128
     rng.shuffle(chosen)
     for u, v in chosen:
         alg.apply(DeleteEdge(u, v))
@@ -197,13 +190,19 @@ def test_missing_edge_delete_leaves_counts_intact():
 
 
 def test_growth_demotion_leaves_a_compact_tracked_set():
-    # Eager mode tracks all 2,000 vertices; at m = 64 every one is demoted.
-    # A set never shrinks its table on discard, and every adj[v] & tracked
-    # would walk the left-over table, so the demotion builds a fresh set.
-    alg = ImplicitMis(DynGraph(2000))
-    for i in range(EAGER_FLOOR):
+    # K20 plus disjoint edges: m = 190, so tau = 14 and every clique vertex
+    # (degree 19) is tracked.  Two doublings raise the candidate threshold
+    # to 20 and demote all 20 at once.  A set never shrinks its table on
+    # discard, and every adj[v] & tracked would walk the left-over table, so
+    # the demotion builds a fresh set.
+    alg = ImplicitMis(build(1200, [(u, v) for u in range(20) for v in range(u + 1, 20)]))
+    assert len(alg.tracked) == 20
+    i = 10
+    while alg.m_c < 4 * 190:
         alg.apply(InsertEdge(2 * i, 2 * i + 1))
-    assert not alg.eager
+        i += 1
+    assert alg.verify()
+    assert not alg.tracked
     assert sys.getsizeof(alg.tracked) == sys.getsizeof(set(alg.tracked))
 
 
@@ -222,28 +221,50 @@ def test_growth_keeps_the_worst_case_bound(family):
         assert alg.meter.max_op_edges_touched <= bound, (m, alg.meter.max_op_edges_touched, bound)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_eager_mode_tracks_every_live_vertex(seed):
-    # Below EAGER_FLOOR every live vertex is tracked after every event, also
-    # across the epochs that double m_c without leaving eager mode, so none
-    # of them needs a promotion pass.
-    rng = random.Random(300 + seed)
-    g = DynGraph(10)
-    alg = ImplicitMis(g)
-    eager_doublings = 0
-    for _ in range(400):
-        r = rng.random()
-        if r < 0.1:
-            event = InsertVertex(())
-        elif r < 0.15 and g.n > 2:
-            event = DeleteVertex(rng.choice(sorted(g.adj)))
-        else:
-            event = _edge_events(rng, g, queries=0)[1]
-            if event is None:
-                continue
-        m_c = alg.m_c
-        alg.apply(event)
-        eager_doublings += alg.eager and alg.m_c > m_c
-        if alg.eager:
-            assert alg.tracked == set(g.vertices()), event
-    assert eager_doublings >= 3
+def test_promotion_by_an_insertion_counts_the_edge_once():
+    # m_c = 64 after the set-up, so tau = 8 and the candidate threshold is 6.
+    # The third edge from 112..116 lifts 150 to degree 9 > tau while 6..11
+    # hold the candidate queue; its promotion counts the new edge, and the
+    # insertion must not count it again.
+    alg = ImplicitMis(DynGraph(200))
+    setup = [(100 + 2 * i, 101 + 2 * i) for i in range(50)]
+    for base in (0, 6):
+        setup += [(base + a, base + b) for a in range(6) for b in range(a + 1, 6)]
+    first = [(w, 150) for w in (102, 104, 106, 108, 110)]
+    bridges = [(i, 6 + i) for i in range(6)] + [(i, 6 + (i + 1) % 6) for i in range(6)]
+    second = [(w, 150) for w in (112, 114, 116)]
+
+    def run(edges):
+        for u, v in edges:
+            alg.apply(InsertEdge(u, v))
+            assert alg.verify(), (u, v)
+
+    run(setup)
+    assert (alg.m_c, alg.tau, alg.cand_thresh) == (64, 8, 6)
+    for v in [151] + [v for v in range(200) if v != 151]:
+        alg.in_mis_query(v)
+        assert alg.verify()
+    assert 150 not in alg.in_S
+    run(first + bridges)
+    assert alg.candidates == set(range(6, 12))
+    run(second)
+    assert 150 in alg.tracked
+    run([(100, w) for w in sorted(alg.g.adj[150] & alg.in_S)])
+    assert alg.in_mis_query(150)
+    assert alg.verify()
+
+
+def test_halving_from_an_odd_baseline_tracks_every_vertex_above_tau():
+    # m = 163: tau = 13 and the candidate threshold is ceil(sqrt(82)) = 10,
+    # so the star's centre (degree 10) is neither tracked nor a candidate.
+    # At m = 81 the baseline halves to 81 and tau drops to 9.
+    star = [(0, w) for w in range(1, 11)]
+    matching = [(11 + 2 * i, 12 + 2 * i) for i in range(153)]
+    alg = ImplicitMis(build(317, star + matching))
+    assert (alg.tau, alg.cand_thresh) == (13, 10)
+    assert 0 not in alg.tracked and 0 not in alg.candidates
+    for u, v in matching:
+        alg.apply(DeleteEdge(u, v))
+        assert alg.verify(), (u, v, alg.m_c)
+    assert alg.m_c == 10 and 0 in alg.tracked
+    assert is_mis(alg.g.adj, sweep(alg)).ok

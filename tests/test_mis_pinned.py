@@ -37,7 +37,7 @@ def _stream(name, algorithm):
     if algorithm == "mis-inc":
         # insertion-only, saturating: the generator grows by isolated vertices
         return gen_random_edges(n // 2, 300, seed=5, p_insert=1.0, query_rate=0.05)
-    # n = 40 takes mis-implicit out of eager mode; n = 30, with more vertex
+    # n = 40 doubles mis-implicit's m_c up to 256; n = 30, with more vertex
     # churn, gives mis-2level heavy vertices on a random stream
     p_insert, vertex_rate = (0.7, 0.05) if n == 40 else (0.6, 0.1)
     return gen_random_edges(n, 1500, seed=7, p_insert=p_insert, query_rate=0.05, vertex_rate=vertex_rate)
@@ -89,10 +89,10 @@ PINNED = {
     ("mis-2level", "random-edges/30"): "32b4baa7831dff39",
     ("mis-2level", "arbitrary-removal"): "ece9531a5ef20001",
     ("mis-2level", "degree-biased"): "c11d0c943fdcea03",
-    ("mis-implicit", "random-edges/40"): "648ef0a44d9e27fe",
-    ("mis-implicit", "random-edges/30"): "1aa15eeb4f56fff5",
-    ("mis-implicit", "arbitrary-removal"): "cab9cc242ab70eeb",
-    ("mis-implicit", "degree-biased"): "220a587d43c82cf7",
+    ("mis-implicit", "random-edges/40"): "fb9888167e3b9a20",
+    ("mis-implicit", "random-edges/30"): "0eaee3dac7514251",
+    ("mis-implicit", "arbitrary-removal"): "af23caa5575e4a0e",
+    ("mis-implicit", "degree-biased"): "086b373fb518b502",
 }
 
 
