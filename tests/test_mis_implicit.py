@@ -121,6 +121,16 @@ def test_audit_catches_stale_count():
     assert not alg.verify()
 
 
+def test_audit_catches_untracked_vertex_above_tau():
+    # m = 9, tau = 3: the star's centre (degree 9) must be tracked, while
+    # the isolated vertices 10 and 11 need not be
+    alg = ImplicitMis(build(12, [(0, w) for w in range(1, 10)]))
+    assert alg.verify()
+    assert 0 in alg.tracked and not {10, 11} & alg.tracked
+    alg.tracked.discard(0)
+    assert not alg.verify()
+
+
 def test_audit_catches_dependent_pair():
     alg = ImplicitMis(build(2, [(0, 1)]))
     alg.in_S = {0, 1}
@@ -268,3 +278,38 @@ def test_halving_from_an_odd_baseline_tracks_every_vertex_above_tau():
         assert alg.verify(), (u, v, alg.m_c)
     assert alg.m_c == 10 and 0 in alg.tracked
     assert is_mis(alg.g.adj, sweep(alg)).ok
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_small_streams_keep_the_threshold_rule(seed):
+    # From m_c = 1 up through several doublings, one rule holds
+    # after every event: a vertex above tau is tracked, a tracked vertex is
+    # above the candidate threshold, and an untracked one above it is queued.
+    rng = random.Random(300 + seed)
+    g = DynGraph(10)
+    alg = ImplicitMis(g)
+    doublings = 0
+    for _ in range(400):
+        r = rng.random()
+        if r < 0.1:
+            event = InsertVertex(())
+        elif r < 0.15 and g.n > 2:
+            event = DeleteVertex(rng.choice(sorted(g.adj)))
+        else:
+            event = _edge_events(rng, g, queries=0)[1]
+            if event is None:
+                continue
+        m_c = alg.m_c
+        alg.apply(event)
+        doublings += alg.m_c > m_c
+        for v in g.vertices():
+            deg = len(g.adj[v])
+            if deg > alg.tau:
+                assert v in alg.tracked, (event, v)
+            if v in alg.tracked:
+                assert deg > alg.cand_thresh, (event, v)
+            elif deg > alg.cand_thresh:
+                assert v in alg.candidates, (event, v)
+        assert alg.verify(), event
+    assert doublings >= 3
+    assert is_mis(g.adj, sweep(alg)).ok
