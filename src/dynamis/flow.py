@@ -8,8 +8,8 @@ is a residual arc; the flow is maximum exactly when ``t`` is outside the
 tree.
 
 Every search is one BFS, ``_label(prev, start, stop)``, which writes
-``prev[x] = w`` for each vertex it reaches and stops once ``stop`` is
-labelled; ``_path`` reads a path back from such a map.  The tree is such a
+``prev[x] = w`` for each vertex it reaches and stops after the residual set
+that labels ``stop``; ``_path`` reads a path back from such a map.  The tree is such a
 map, so growing it is a search into ``parent``.
 
 - An inserted edge (u,v) adds the residual arc u->v.  Only if u is in the
@@ -281,22 +281,28 @@ class FlowNetwork:
     def _label(self, prev: dict[int, int], start: int, stop: int) -> None:
         """BFS from ``start``: label each new x reached by a residual arc w->x with ``prev[x] = w``.
 
-        The search stops once ``stop`` is labelled, and meters every set it scans.
+        The search stops after the set that labels ``stop``, and charges the
+        meter once for all the sets it scanned.  Finishing that set labels
+        only vertices after ``stop``, which a path read back from ``stop``
+        never passes, and every caller either reads such a path or regrows
+        the tree.
         """
         if stop in prev:
             return
-        res_out, touch = self.res_out, self.meter.touch
+        res_out = self.res_out
         queue = deque([start])
+        touched = 0
         while queue:
             w = queue.popleft()
             targets = res_out[w]
-            touch(len(targets))
+            touched += len(targets)
             for x in targets:
                 if x not in prev:
                     prev[x] = w
-                    if x == stop:
-                        return
                     queue.append(x)
+            if stop in prev:
+                break
+        self.meter.touch(touched)
 
     @staticmethod
     def _path(prev: dict[int, int], src: int, dst: int) -> list[int]:

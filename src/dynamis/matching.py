@@ -14,6 +14,13 @@ up to its root.  An edge from an even vertex to an even vertex of another
 tree, or to a free vertex that is not a root, closes an augmenting path; the
 forest flips it along these pointers and runs no second search.
 
+``_grow`` scans the queued even vertices and settles most neighbours in its
+own loop: one with the scanned vertex's base or with an odd base is
+skipped, and an unlabelled matched one is attached with its mate, which is
+queued.  Only a neighbour that contracts a blossom or closes an augmenting
+path goes through ``_process_edge``, and since a contraction may move the
+scanned vertex's base, the base is found again after each such call.
+
 An inserted edge is fed into the standing forest.  It either closes an
 augmenting path, and the matching grows by one, which is all an insertion
 can add; or it attaches a matched pair to a tree or contracts a blossom, and
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from .errors import IncompatibleStreamError, NotFreeError
 from .graph import DynGraph
@@ -184,10 +192,10 @@ class DynamicMatching:
 
     def _build_forest(self) -> None:
         """Starts a forest whose trees are all the free vertices."""
-        roots = [w for w in self.g.adj if w not in self.mate]
+        roots = list(filterfalse(self.mate.__contains__, self.g.adj))
         self._stale = False
         self.label: dict[int, int] = dict.fromkeys(roots, EVEN)
-        self.root: dict[int, int] = {v: v for v in roots}
+        self.root: dict[int, int] = dict(zip(roots, roots))
         self.parent: dict[int, int] = {}
         self.dsu: dict[int, int] = {}
         self._queue: deque[int] = deque(roots)
@@ -199,24 +207,54 @@ class DynamicMatching:
             self.root[v] = v
 
     def _grow(self) -> list[tuple[int, int]] | None:
-        """Scan queued even vertices until the forest is complete or augments."""
-        adj = self.g.adj
-        while self._queue:
-            v = self._queue.popleft()
+        """Scan queued even vertices until the forest is complete or augments.
+
+        A queued vertex's base is even, so the loop settles every neighbour
+        but one that contracts a blossom or closes an augmenting path (see
+        the module docstring).  The scans are charged to the meter once, on
+        the way out.
+        """
+        queue = self._queue
+        if not queue:
+            return None
+        adj, mate, label, root, parent = self.g.adj, self.mate, self.label, self.root, self.parent
+        dsu, find = self.dsu, self._find
+        touched = 0
+        while queue:
+            v = queue.popleft()
             nbrs = adj[v]
-            self.meter.touch(len(nbrs))
+            touched += len(nbrs)
+            bv = find(v) if v in dsu else v
             for w in nbrs:
+                bw = find(w) if w in dsu else w
+                if bw == bv:
+                    continue
+                lw = label.get(bw)
+                if lw == ODD:
+                    continue
+                if lw is None and w in mate:
+                    mw = mate[w]
+                    label[w] = ODD
+                    parent[w] = v
+                    root[w] = root[mw] = root[v]
+                    label[mw] = EVEN
+                    queue.append(mw)
+                    continue
                 found = self._process_edge(v, w)
                 if found is not None:
+                    self.meter.touch(touched)
                     return found
+                bv = find(v)
+        self.meter.touch(touched)
         return None
 
     def _find(self, v: int) -> int:
+        dsu = self.dsu
         r = v
-        while r in self.dsu:
-            r = self.dsu[r]
-        while v in self.dsu and self.dsu[v] != r:
-            self.dsu[v], v = r, self.dsu[v]
+        while r in dsu:
+            r = dsu[r]
+        while v in dsu and dsu[v] != r:
+            dsu[v], v = r, dsu[v]
         return r
 
     def _process_edge(self, u: int, v: int) -> list[tuple[int, int]] | None:

@@ -15,12 +15,14 @@ the same way: it checks the vertex, counts the query, asks the class's
 for mis-simple, mis-inc and mis-2level.  It keeps a light level and a heavy
 level.  The light level is a set ``in_M`` and, for every vertex, the number
 ``count`` of its neighbours in ``in_M``; a light vertex outside ``in_M``
-with count zero is admitted, and admission re-checks the candidates at
-count zero in ascending id order.  The heavy level is the set ``heavy`` of
-vertices of degree at least ``delta_c``, kept out of ``in_M``, and their
-MIS ``heavy_mis``; a vertex crossing ``delta_c`` migrates at once.  The
-answer is ``in_M | heavy_mis``.  mis-simple and mis-inc are the light level
-with no heavy vertices: their ``delta_c`` is a degree no vertex reaches.
+with count zero is admitted.  Only a leave from ``in_M`` lowers counts, so
+``_leave`` hands over the neighbours whose count it brought to zero,
+collected in its decrement loop, and admission re-checks only those, in
+ascending id order.  The heavy level is the set ``heavy`` of vertices of
+degree at least ``delta_c``, kept out of ``in_M``, and their MIS
+``heavy_mis``; a vertex crossing ``delta_c`` migrates at once.  The answer
+is ``in_M | heavy_mis``.  mis-simple and mis-inc are the light level with
+no heavy vertices: their ``delta_c`` is a degree no vertex reaches.
 mis-2level sets ``delta_c`` per phase and rebuilds ``heavy_mis`` after
 every update.  The handlers guard the heavy level's work, so the light-only
 path pays one degree comparison per endpoint of an inserted edge and one
@@ -38,7 +40,6 @@ UpdateLoop._query_op``.
 
 from __future__ import annotations
 
-from itertools import filterfalse
 from typing import AbstractSet, Iterable
 
 from ..errors import IncompatibleStreamError
@@ -111,9 +112,7 @@ class CountMaintainer(UpdateLoop):
         if len(adj[v]) >= delta_c and v not in self.heavy:
             self._migrate_to_heavy(v, log)
         if u in in_M and v in in_M:
-            victim = self._pick_victim(u, v)
-            self._leave(victim, log)
-            self._admit_zeros(adj[victim], log)
+            self._admit_zeros(self._leave(self._pick_victim(u, v), log), log)
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
@@ -144,7 +143,7 @@ class CountMaintainer(UpdateLoop):
             self._enter(v, log)
 
     def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
-        nbrs = self._delete_counted(v, log)
+        nbrs, freed = self._delete_counted(v, log)
         heavy = self.heavy
         if heavy:
             heavy.discard(v)
@@ -156,8 +155,8 @@ class CountMaintainer(UpdateLoop):
             for w in sorted(nbrs):
                 if w in heavy and len(adj[w]) < delta_c:
                     self._migrate_to_light(w, log)
-        # only v's neighbours can reach count zero, and only if v was a member
-        self._admit_zeros(nbrs, log)
+        # only the neighbours v's leave freed can be at count zero
+        self._admit_zeros(freed, log)
 
     # -- internals -------------------------------------------------------
 
@@ -167,8 +166,7 @@ class CountMaintainer(UpdateLoop):
     def _migrate_to_heavy(self, v: int, log: AdjustmentLog) -> None:
         self.heavy.add(v)
         if v in self.in_M:
-            self._leave(v, log)
-            self._admit_zeros(self.g.adj[v], log)
+            self._admit_zeros(self._leave(v, log), log)
 
     def _migrate_to_light(self, v: int, log: AdjustmentLog) -> None:
         self.heavy.discard(v)
@@ -208,28 +206,38 @@ class CountMaintainer(UpdateLoop):
         self.meter.touch(len(neighbors))
         return v
 
-    def _delete_counted(self, v: int, log: AdjustmentLog) -> set[int]:
-        """Deletes ``v``, first out of ``in_M``; returns its former neighbours, none admitted yet."""
+    def _delete_counted(self, v: int, log: AdjustmentLog) -> tuple[set[int], list[int]]:
+        """Deletes ``v``, first out of ``in_M``.
+
+        Returns its former neighbours and those its leave freed (none if it
+        was not a member), none admitted yet.
+        """
         self.g._require(v)
         nbrs = self.g.adj[v]  # the set outlives v's deletion from the graph
         # the walk over v's neighbours costs deg v once, charged by the leave
         # when v is a member
         if v in self.in_M:
-            self._leave(v, log)
+            freed = self._leave(v, log)
         else:
+            freed = []
             self.meter.touch(len(nbrs))
         self.g.delete_vertex(v)
         self.count[v] = 0
-        return nbrs
+        return nbrs, freed
 
-    def _leave(self, v: int, log: AdjustmentLog) -> None:
+    def _leave(self, v: int, log: AdjustmentLog) -> list[int]:
+        """Takes ``v`` out of ``in_M``; returns the neighbours whose count fell to zero."""
         self.in_M.discard(v)
         self.meter.adjust()
         log.leave(v)
         nbrs, count = self.g.adj[v], self.count
+        freed = []
         for w in nbrs:
-            count[w] -= 1
+            c = count[w] = count[w] - 1
+            if not c:
+                freed.append(w)
         self.meter.touch(len(nbrs))
+        return freed
 
     def _enter(self, v: int, log: AdjustmentLog) -> None:
         self.in_M.add(v)
@@ -240,10 +248,12 @@ class CountMaintainer(UpdateLoop):
             count[w] += 1
         self.meter.touch(len(nbrs))
 
-    def _admit_zeros(self, candidates: Iterable[int], log: AdjustmentLog) -> None:
-        # Candidates are live.  An entry only raises counts, so only those at
-        # count zero now can enter; they are re-checked in id order.
+    def _admit_zeros(self, freed: Iterable[int], log: AdjustmentLog) -> None:
+        # ``freed`` holds the live neighbours a leave brought to count zero;
+        # every other neighbour kept a member neighbour.  Counts only rise
+        # from the leave on, so each is re-checked in id order, since an
+        # earlier entry or a migration may have blocked it again.
         count, in_M, heavy = self.count, self.in_M, self.heavy
-        for w in sorted(filterfalse(count.__getitem__, candidates)):
+        for w in sorted(freed):
             if count[w] == 0 and w not in in_M and w not in heavy:
                 self._enter(w, log)

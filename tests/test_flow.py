@@ -317,6 +317,22 @@ def test_reroute_search_stops_at_its_target():
     assert net.parent.keys() == {0} and net.verify()
 
 
+def test_tree_search_charges_the_whole_set_that_reaches_the_sink():
+    # 2's residual set {1, 3, 4} reads the sink 1 first, and 3 and 4 lead
+    # on to each other; none of it hangs from the source until (0,2) arrives
+    net = FlowNetwork(5, 0, 1)
+    for u, v in [(2, 1), (2, 3), (2, 4), (3, 4), (4, 3)]:
+        net.insert_edge(u, v)
+    assert net.F == 0 and net.parent == {0: 0}
+    delta = net.insert_edge(0, 2)
+    assert delta.dF == 1 and delta.path == [0, 2, 1]
+    # the new arc, then the search from 2 reads all three of its arcs,
+    # labels the sink from that first set and reads no other set; the
+    # regrowth from 0 reads an empty set, since 0->2 is saturated
+    assert net.meter.op_edges_touched == 1 + 3
+    assert net.parent == {0: 0} and net.F == 1 == oracle(net) and net.verify()
+
+
 def test_deletion_work_linear():
     # a deletion costs at most one search from u (m + 1, the auxiliary arc
     # included) and one regrowth (m)

@@ -622,3 +622,37 @@ def test_meter_covers_every_adjacency_scan(cls):
             total_reads += reads
         _check_matching(alg)
     assert total_reads > 0
+
+
+def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
+    # 0 free, 1=2 and 4=3 matched; the forest hangs 1 and 4 from 0, so 2
+    # and 3 are even.  Inserting (2,4) leaves the forest stale, and the
+    # fresh one scans 2's neighbours 1, 3, 4 in that order: 1 is odd, (2,3)
+    # closes the blossom 0-1=2-3=4-0 with base 0, and 4, odd until then, is
+    # now inside the blossom that holds 2
+    g = build(5, [(0, 1), (1, 2), (0, 4), (4, 3), (2, 3)])
+    alg = _with_mate(g, {1: 2, 2: 1, 3: 4, 4: 3})
+    closing = []
+
+    def process_edge(u, v):
+        closing.append((u, v))
+        return DynamicMatching._process_edge(alg, u, v)
+
+    alg._process_edge = process_edge
+    events = [InsertEdge(2, 4), InsertVertex(()), InsertEdge(4, 5)]
+    deltas = []
+    for event in events:
+        deltas.append(alg.apply(event))
+        _check_matching(alg)
+        if not alg._stale:
+            _audit_forest(alg)
+        if event == events[0]:
+            # the stale forest is rebuilt without feeding it the new edge,
+            # and the scan of 2 takes its new base 0 after the contraction,
+            # so (2,4) is skipped in the loop: only the closing edge leaves it
+            assert closing == [(2, 3)]
+            assert all(alg._find(v) == 0 for v in range(5))
+    # the new vertex 5 is a root of the kept forest, and (4,5) augments
+    # through the blossom: 0-1=2-3=4-5 flips to 0=1-2=3-4=5
+    assert [d.delta for d in deltas] == [0, 0, 1]
+    assert deltas[2].flipped == [(0, 1), (2, 3), (4, 5)]

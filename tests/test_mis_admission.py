@@ -1,8 +1,9 @@
 """The filtered admission loops and the O(m) phase rebuild against the plain ones.
 
-Each reference subclass keeps the earlier code verbatim: admission sorts the
-whole candidate set and tests every member, and mis-2level's phase rebuild
-walks every vertex.  Two things follow the current handlers: liveness is
+Each reference subclass keeps the earlier code verbatim: a leave hands over
+the leaving vertex's whole neighbourhood, admission sorts the whole
+candidate set and tests every member, and mis-2level's phase rebuild walks
+every vertex.  Two things follow the current handlers: liveness is
 tested with ``g.is_live``, since the counts are id-indexed lists, and
 mis-2level's reference keeps no index of heavy neighbours, so a heavy vertex
 insertion charges a single pass over its neighbours.  Every
@@ -15,11 +16,19 @@ import pytest
 from dynamis import DynGraph, IncrementalMis, SimpleMis, TwoLevelMis
 from dynamis.generators import gen_arbitrary_removal, gen_degree_biased, gen_random_edges
 from dynamis.meter import AdjustmentLog
+from dynamis.mis.base import CountMaintainer
 from dynamis.mis.twolevel import _ceil_pow_two_thirds
 from dynamis.stream import QueryInMis
 
 
+def _leave_handing_over_every_neighbour(self, v, log):
+    CountMaintainer._leave(self, v, log)
+    return self.g.adj[v]
+
+
 class ReferenceSimpleMis(SimpleMis):
+    _leave = _leave_handing_over_every_neighbour
+
     def _delete_edge(self, u, v, log):
         self.g.delete_edge(u, v)
         if u in self.in_M and v not in self.in_M:
@@ -36,10 +45,13 @@ class ReferenceSimpleMis(SimpleMis):
 
 
 class ReferenceIncrementalMis(IncrementalMis):
+    _leave = _leave_handing_over_every_neighbour
     _admit_zeros = ReferenceSimpleMis._admit_zeros
 
 
 class ReferenceTwoLevelMis(TwoLevelMis):
+    _leave = _leave_handing_over_every_neighbour
+
     def _init_phase(self, active=None):
         g = self.g
         self.m_c = max(g.m, 1)

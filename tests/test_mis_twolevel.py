@@ -288,3 +288,36 @@ def test_rebuild_state_matches_fresh_build_with_heavy_vertices():
     for stream in (gen_degree_biased(256), gen_arbitrary_removal(256, 16)):
         rebuilds, heavy_seen = _assert_rebuilds_match_fresh(stream)
         assert rebuilds >= 5 and heavy_seen
+
+
+def test_deleted_member_hands_over_the_neighbours_it_freed():
+    # v = 0 is the light member that blocks w = 1, z = 4 and both heavy
+    # vertices, h = 2 (degree 11 = delta_c) and k = 3 (degree 12); z is
+    # blocked by the leaf 5 as well, and each x_i (15-24) by its own leaf
+    # y_i (5-14); h reaches x_1..x_9, k all ten.  m = 36 gives delta_c = 11.
+    xs, ys = range(15, 25), range(5, 15)
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (4, 5)]
+    edges += [(2, x) for x in xs[:9]] + [(3, x) for x in xs] + list(zip(ys, xs))
+    alg = TwoLevelMis(build(25, edges))
+    assert (alg.m_c, alg.delta_c, alg.heavy) == (36, 11, {2, 3})
+    assert alg.in_M == {0, *ys} and alg.heavy_mis == set()
+    handed = []
+
+    def admit_zeros(freed, log):
+        handed.append(sorted(freed))
+        TwoLevelMis._admit_zeros(alg, freed, log)
+
+    alg._admit_zeros = admit_zeros
+    log = alg.apply(DeleteVertex(0))
+    # the leave brought w, h and k to count zero, but not z, and the
+    # deletion hands over exactly those three; h drops to degree 10 and
+    # migrates to light at count zero, so it enters and blocks w again,
+    # while k stays heavy
+    assert handed == [[1, 2, 3]]
+    assert alg.count[1] == 1  # w: rejected on its count
+    assert 2 in alg.in_M  # h: rejected as a member
+    assert alg.count[3] == 0 and 3 in alg.heavy  # k: rejected as heavy
+    # k joins the heavy MIS in the rebuild that follows; no phase rebuild
+    assert log.changes == [("leave", 0), ("enter", 2), ("enter", 3)]
+    assert alg.mis() == {2, 3, *ys} and alg.phase_rebuilds == 0
+    assert alg.verify() and is_mis(alg.g.adj, alg.mis()).ok
