@@ -9,8 +9,8 @@ tree.
 
 Every search is one BFS, ``_label(prev, start, stop)``, which writes
 ``prev[x] = w`` for each vertex it reaches and stops after the residual set
-that labels ``stop``; ``_path`` reads a path back from such a map.  The tree is such a
-map, so growing it is a search into ``parent``.
+that labels ``stop``; ``_path`` reads a path back from such a map.  The tree
+is such a map, so growing it is a search into ``parent``.
 
 - An inserted edge (u,v) adds the residual arc u->v.  Only if u is in the
   tree and v is not does the tree grow, by a search from v.  If the sink

@@ -15,18 +15,17 @@ the same way: it checks the vertex, counts the query, asks the class's
 for mis-simple, mis-inc and mis-2level.  It keeps a light level and a heavy
 level.  The light level is a set ``in_M`` and, for every vertex, the number
 ``count`` of its neighbours in ``in_M``; a light vertex outside ``in_M``
-with count zero is admitted.  Only a leave from ``in_M`` lowers counts, so
-``_leave`` hands over the neighbours whose count it brought to zero,
-collected in its decrement loop, and admission re-checks only those, in
-ascending id order.  The heavy level is the set ``heavy`` of vertices of
-degree at least ``delta_c``, kept out of ``in_M``, and their MIS
-``heavy_mis``; a vertex crossing ``delta_c`` migrates at once.  The answer
-is ``in_M | heavy_mis``.  mis-simple and mis-inc are the light level with
-no heavy vertices: their ``delta_c`` is a degree no vertex reaches.
-mis-2level sets ``delta_c`` per phase and rebuilds ``heavy_mis`` after
-every update.  The handlers guard the heavy level's work, so the light-only
-path pays one degree comparison per endpoint of an inserted edge and one
-emptiness test per deletion.
+with count zero is admitted.  A leave from ``in_M`` hands over the
+neighbours whose count it brought to zero, collected in its decrement loop,
+and admission re-checks only those, in ascending id order.  The heavy level
+is the set ``heavy`` of vertices of degree at least ``delta_c``, kept out of
+``in_M``, and their MIS ``heavy_mis``; a vertex crossing ``delta_c``
+migrates at once.  The answer is ``in_M | heavy_mis``.  mis-simple and
+mis-inc are the light level with no heavy vertices: their ``delta_c`` is a
+degree no vertex reaches.  mis-2level sets ``delta_c`` per phase and
+rebuilds ``heavy_mis`` after every update.  The handlers guard the heavy
+level's work, so the light-only path pays one degree comparison per endpoint
+of an inserted edge and one emptiness test per deletion.
 
 ``count`` is a list indexed by vertex id, of length ``g.id_bound``: ids are
 dense and never reused, so a vertex insertion appends its count and a
@@ -250,9 +249,9 @@ class CountMaintainer(UpdateLoop):
 
     def _admit_zeros(self, freed: Iterable[int], log: AdjustmentLog) -> None:
         # ``freed`` holds the live neighbours a leave brought to count zero;
-        # every other neighbour kept a member neighbour.  Counts only rise
-        # from the leave on, so each is re-checked in id order, since an
-        # earlier entry or a migration may have blocked it again.
+        # counts only rise after it, so no other vertex can be at zero.  Each
+        # is re-checked in id order, since an earlier entry or a migration
+        # may have blocked it again.
         count, in_M, heavy = self.count, self.in_M, self.heavy
         for w in sorted(freed):
             if count[w] == 0 and w not in in_M and w not in heavy:
