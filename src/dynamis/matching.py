@@ -3,23 +3,24 @@
 ``DynamicMatching`` finds augmenting paths with one search, Edmonds'
 alternating forest with blossoms contracted through a disjoint-set union
 over their bases (Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan
-1985).  Every forest is grown from all the free vertices: ``_build_forest()``
-takes no roots.
+1985).  Every forest is grown from all the free vertices, so every free
+vertex is a root and a vertex outside the forest is matched.
 
 Each odd vertex points at the even vertex it hangs from.  Contracting a
 blossom points each even vertex on its cycle back along the cycle towards
 the closing edge, and that edge's endpoints at each other, so from every
 even vertex ``x`` the walk ``x, mate[x], parent[mate[x]], ...`` alternates
-up to its root.  An edge from an even vertex to an even vertex of another
-tree, or to a free vertex that is not a root, closes an augmenting path; the
-forest flips it along these pointers and runs no second search.
+up to its root.  An edge between even vertices of two trees closes an
+augmenting path; the forest flips it along these pointers and runs no
+second search.  A contraction finds the closing edge's lowest common base
+by walking both sides up in turn, to the first base seen twice.
 
-``_grow`` scans the queued even vertices and settles most neighbours in its
-own loop: one with the scanned vertex's base or with an odd base is
-skipped, and an unlabelled matched one is attached with its mate, which is
-queued.  Only a neighbour that contracts a blossom or closes an augmenting
-path goes through ``_process_edge``, and since a contraction may move the
-scanned vertex's base, the base is found again after each such call.
+``_grow`` scans the queued even vertices and settles every neighbour in its
+own loop: one with the scanned vertex's base or an odd base is skipped, an
+unlabelled one is attached with its mate, which is queued, and an even one
+contracts a blossom in the same tree or augments from another.  A
+contraction may move the scanned vertex's base, so the base is found again
+after it.  ``_absorb_edge`` applies the same rule to an inserted edge.
 
 An inserted edge is fed into the standing forest.  It either closes an
 augmenting path, and the matching grows by one, which is all an insertion
@@ -183,9 +184,24 @@ class DynamicMatching:
             self._build_forest()
         else:
             self.meter.touch(1)
-            found = self._process_edge(u, v)
-            if found is not None:
-                return found
+            find, label = self._find, self.label
+            bu, bv = find(u), find(v)
+            if label.get(bu) != EVEN:
+                u, v, bu, bv = v, u, bv, bu
+            lv = label.get(bv)
+            if bu == bv or label.get(bu) != EVEN or lv == ODD:
+                return []
+            if lv is None:
+                mv = mate[v]
+                label[v] = ODD
+                self.parent[v] = u
+                self.root[v] = self.root[mv] = self.root[u]
+                label[mv] = EVEN
+                self._queue.append(mv)
+            elif self.root[bu] == self.root[bv]:
+                self._contract(u, v, bu, bv)
+            else:
+                return self._augment(u, v)
         return self._grow() or []
 
     # -- forest machinery ------------------------------------------------
@@ -210,9 +226,8 @@ class DynamicMatching:
         """Scan queued even vertices until the forest is complete or augments.
 
         A queued vertex's base is even, so the loop settles every neighbour
-        but one that contracts a blossom or closes an augmenting path (see
-        the module docstring).  The scans are charged to the meter once, on
-        the way out.
+        itself (see the module docstring).  The scans are charged to the
+        meter once, on the way out.
         """
         queue = self._queue
         if not queue:
@@ -232,19 +247,20 @@ class DynamicMatching:
                 lw = label.get(bw)
                 if lw == ODD:
                     continue
-                if lw is None and w in mate:
+                if lw is None:
+                    # every free vertex is a root, so w is matched
                     mw = mate[w]
                     label[w] = ODD
                     parent[w] = v
                     root[w] = root[mw] = root[v]
                     label[mw] = EVEN
                     queue.append(mw)
-                    continue
-                found = self._process_edge(v, w)
-                if found is not None:
+                elif root[bw] == root[bv]:
+                    self._contract(v, w, bv, bw)
+                    bv = find(v)
+                else:
                     self.meter.touch(touched)
-                    return found
-                bv = find(v)
+                    return self._augment(v, w)
         self.meter.touch(touched)
         return None
 
@@ -257,38 +273,8 @@ class DynamicMatching:
             dsu[v], v = r, dsu[v]
         return r
 
-    def _process_edge(self, u: int, v: int) -> list[tuple[int, int]] | None:
-        """Returns the new pairs when the edge closes an augmenting path."""
-        bu, bv = self._find(u), self._find(v)
-        if bu == bv:
-            return None
-        lu, lv = self.label.get(bu), self.label.get(bv)
-        if lu != EVEN:
-            if lv != EVEN:
-                return None
-            u, v, bu, bv, lv = v, u, bv, bu, lu
-        if lv == EVEN:
-            if self.root[bu] == self.root[bv]:
-                self._contract(u, v)
-                return None
-            return self._augment(u, v)
-        if lv is None:
-            if v not in self.mate:
-                return self._augment(u, v)
-            self._attach(u, v)
-        return None
-
-    def _attach(self, even_u: int, v: int) -> None:
-        w = self.mate[v]
-        self.label[v] = ODD
-        self.parent[v] = even_u
-        self.root[v] = self.root[even_u]
-        self.label[w] = EVEN
-        self.root[w] = self.root[v]
-        self._queue.append(w)
-
     def _augment(self, u: int, v: int) -> list[tuple[int, int]]:
-        """Flips the augmenting path through edge (u,v): u is even, v even in another tree or free."""
+        """Flips the augmenting path through edge (u,v) between even vertices of two trees."""
         mate, parent = self.mate, self.parent
         flipped = [(min(u, v), max(u, v))]
         for x in (u, v):
@@ -314,18 +300,18 @@ class DynamicMatching:
             return None
         return self._find(self.parent[mb])
 
-    def _contract(self, u: int, v: int) -> None:
-        """Contracts the blossom that edge (u,v) closes between two even vertices of one tree."""
+    def _contract(self, u: int, v: int, bu: int, bv: int) -> None:
+        """Contracts the blossom that edge (u,v), with bases bu and bv, closes in one tree."""
         find, mate, parent = self._find, self.mate, self.parent
-        ancestors = set()
-        x: int | None = find(u)
-        while x is not None:
-            ancestors.add(x)
-            x = self._up(x)
-        x = find(v)
-        while x not in ancestors:
-            x = self._up(x)
-            assert x is not None, "bases share no root"
+        # walk both sides up in turn; the first base seen twice is the lowest common one
+        seen: set[int] = set()
+        x, y = bu, bv
+        while x not in seen:
+            assert x is not None or y is not None, "bases share no root"
+            if x is not None:
+                seen.add(x)
+                x = self._up(x)
+            x, y = y, x
         lca = x
         members: set[int] = set()
         for x, across in ((u, v), (v, u)):

@@ -106,13 +106,15 @@ class TwoLevelMis(CountMaintainer):
         self.count = [0] * self.g.id_bound
         self.in_M.difference_update(active)
         self._greedy(filterfalse(heavy.__contains__, active))
-        self.heavy_mis = set()
         self.meter.touch(2 * self.g.m)
-        self._rebuild_heavy_mis(AdjustmentLog(), account=False)
+        self.heavy_mis = self._rebuild_heavy_mis()
 
     def _settle(self, log: AdjustmentLog) -> None:
         if self.heavy or self.heavy_mis:
-            self._rebuild_heavy_mis(log)
+            chosen = self._rebuild_heavy_mis()
+            if chosen != self.heavy_mis:
+                self._log_change(log, self.heavy_mis, chosen)
+                self.heavy_mis = chosen
         else:
             # the greedy would touch nothing and choose nothing
             self.last_heavy_rebuild_touches = 0
@@ -127,6 +129,9 @@ class TwoLevelMis(CountMaintainer):
         self._init_phase(active)
         self.phase_rebuilds += 1
         after = self.in_M.intersection(active) | self.heavy_mis
+        self._log_change(log, before, after)
+
+    def _log_change(self, log: AdjustmentLog, before: set[int], after: set[int]) -> None:
         for v in sorted(before - after):
             log.leave(v)
         for v in sorted(after - before):
@@ -135,7 +140,8 @@ class TwoLevelMis(CountMaintainer):
 
     # -- heavy MIS -------------------------------------------------------
 
-    def _rebuild_heavy_mis(self, log: AdjustmentLog, account: bool = True) -> None:
+    def _rebuild_heavy_mis(self) -> set[int]:
+        """Greedy MIS of the heavy vertices with no neighbour in the light MIS."""
         adj, count = self.g.adj, self.count
         touched = 0
         chosen: set[int] = set()
@@ -147,11 +153,4 @@ class TwoLevelMis(CountMaintainer):
                 chosen.add(v)
         self.meter.touch(touched)
         self.last_heavy_rebuild_touches = touched
-        if chosen != self.heavy_mis:
-            if account:
-                for v in sorted(self.heavy_mis - chosen):
-                    log.leave(v)
-                for v in sorted(chosen - self.heavy_mis):
-                    log.enter(v)
-                self.meter.adjust(len(chosen ^ self.heavy_mis))
-            self.heavy_mis = chosen
+        return chosen

@@ -634,11 +634,11 @@ def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
     alg = _with_mate(g, {1: 2, 2: 1, 3: 4, 4: 3})
     closing = []
 
-    def process_edge(u, v):
+    def contract(u, v, bu, bv):
         closing.append((u, v))
-        return DynamicMatching._process_edge(alg, u, v)
+        DynamicMatching._contract(alg, u, v, bu, bv)
 
-    alg._process_edge = process_edge
+    alg._contract = contract
     events = [InsertEdge(2, 4), InsertVertex(()), InsertEdge(4, 5)]
     deltas = []
     for event in events:
@@ -649,10 +649,34 @@ def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
         if event == events[0]:
             # the stale forest is rebuilt without feeding it the new edge,
             # and the scan of 2 takes its new base 0 after the contraction,
-            # so (2,4) is skipped in the loop: only the closing edge leaves it
+            # so (2,4) is skipped: only the closing edge contracts
             assert closing == [(2, 3)]
             assert all(alg._find(v) == 0 for v in range(5))
     # the new vertex 5 is a root of the kept forest, and (4,5) augments
     # through the blossom: 0-1=2-3=4-5 flips to 0=1-2=3-4=5
     assert [d.delta for d in deltas] == [0, 0, 1]
     assert deltas[2].flipped == [(0, 1), (2, 3), (4, 5)]
+
+
+def test_blossom_walk_climbs_both_sides_in_turn():
+    # the stem 0-1=2-...-19=20 hangs x = 20 ten levels below the free root
+    # 0, and the branches 20-21=22 and 20-23=24 end at even 22 and 24, so
+    # the inserted edge (22,24) closes the blossom 20-21=22-24=23-20
+    stem = [(i, i + 1) for i in range(20)]
+    g = build(25, stem + [(20, 21), (21, 22), (20, 23), (23, 24)])
+    pairs = [(i, i + 1) for i in range(1, 25, 2)]
+    alg = _with_mate(g, {x: y for u, v in pairs for x, y in ((u, v), (v, u))})
+    assert alg.augment_from(0) is None and not alg._stale
+    steps = []
+
+    def up(b):
+        steps.append(b)
+        return DynamicMatching._up(alg, b)
+
+    alg._up = up
+    assert alg.apply(InsertEdge(22, 24)).delta == 0
+    # 22 and 24 each climb one step to 20, where the walk stops rather than
+    # following either side to the root
+    assert len(steps) <= 4
+    assert all(alg._find(v) == 20 for v in (21, 22, 23, 24))
+    _audit_forest(alg)

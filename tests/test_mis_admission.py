@@ -15,7 +15,6 @@ import pytest
 
 from dynamis import DynGraph, IncrementalMis, SimpleMis, TwoLevelMis
 from dynamis.generators import gen_arbitrary_removal, gen_degree_biased, gen_random_edges
-from dynamis.meter import AdjustmentLog
 from dynamis.mis.base import CountMaintainer
 from dynamis.mis.twolevel import _ceil_pow_two_thirds
 from dynamis.stream import QueryInMis
@@ -65,9 +64,8 @@ class ReferenceTwoLevelMis(TwoLevelMis):
                 for w in g.adj[v]:
                     self.count[w] += 1
                 self.meter.touch(len(g.adj[v]))
-        self.heavy_mis = set()
         self.meter.touch(sum(len(g.adj[v]) for v in g.vertices()))
-        self._rebuild_heavy_mis(AdjustmentLog(), account=False)
+        self.heavy_mis = self._rebuild_heavy_mis()
 
     def _phase_rebuild(self, log):
         before = self.mis()
