@@ -111,8 +111,25 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_text(report: dict) -> str:
+    """``json.dumps(report, indent=2)``, with the query pairs written directly.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, which is slow on the
+    hundreds of pairs a query stream gives, so the rest of the report is
+    dumped on its own and the pairs, ``[v, answer]`` integers, are laid out as
+    that encoder lays them out.  The report builder adds ``query_results``
+    last, so the text is the same.
+    """
+    pairs = report.get("query_results")
+    if not pairs:
+        return json.dumps(report, indent=2)
+    rest = json.dumps({k: x for k, x in report.items() if k != "query_results"}, indent=2)
+    body = ",\n".join(f"    [\n      {v},\n      {answer}\n    ]" for v, answer in pairs)
+    return f'{rest[:-2]},\n  "query_results": [\n{body}\n  ]\n}}'
+
+
 def _emit(report: dict, path: str | None) -> None:
-    text = json.dumps(report, indent=2)
+    text = _report_text(report)
     print(text)
     if path:
         with open(path, "w") as fh:

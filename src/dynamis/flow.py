@@ -212,29 +212,33 @@ class FlowNetwork:
     def verify(self) -> bool:
         """Capacity, conservation, flow value, the residual sets, maximality and the tree.
 
-        One pass over the edges checks the flags, sums the balances of the
-        saturated edges and checks that every arc an edge gives is in its
-        residual set; the set sizes must then sum to the number of distinct
-        arcs, so the sets hold nothing else.  Only then is the residual reach
-        recomputed from them, without touching the meter, and the tree checked
-        against it: rooted at ``parent[s] == s``, made of residual arcs, and
-        hanging every reached vertex from s.
+        One pass over the edges checks the flags and that every arc an edge
+        gives is in its residual set.  An empty edge costs one membership
+        test.  The saturated branch, which holds the few edges that carry
+        flow, also sums the balances and finds the arcs two edges give at
+        once: a saturated (u,v) and an empty (v,u) both give v->u, and the
+        pair is counted once, on its saturated side.  The set sizes must
+        then sum to the number of distinct arcs, so the sets hold nothing
+        else.  Only then is the residual reach recomputed from them, without
+        touching the meter, and the tree checked against it: rooted at
+        ``parent[s] == s``, made of residual arcs, and hanging every reached
+        vertex from s.
         """
         flow, res_out = self.flow, self.res_out
         balance: dict[int, int] = {}
         arcs = len(flow)
         for (u, v), f in flow.items():
             if f == 0:
-                if flow.get((v, u)) == 1:
-                    arcs -= 1  # the saturated (v,u) gives u->v as well
-                a, b = u, v
+                if v not in res_out[u]:
+                    return False
             elif f == 1:
+                if u not in res_out[v]:
+                    return False
                 balance[u] = balance.get(u, 0) - 1
                 balance[v] = balance.get(v, 0) + 1
-                a, b = v, u
+                if flow.get((v, u)) == 0:
+                    arcs -= 1  # the empty (v,u) gives v->u as well
             else:
-                return False
-            if b not in res_out[a]:
                 return False
         if sum(map(len, res_out.values())) != arcs:
             return False

@@ -114,10 +114,12 @@ class DynamicMatching:
         return self._grow()
 
     def verify(self) -> bool:
-        for x, y in self.mate.items():
-            if self.mate.get(y) != x or not self.g.has_edge(x, y):
+        mate, adj = self.mate, self.g.adj
+        for x, y in mate.items():
+            # a dead x has no adjacency set and fails like a non-edge
+            if mate.get(y) != x or y not in adj.get(x, ()):
                 return False
-        return self.cardinality == static_max_matching(self.g.adj, self.mate)
+        return self.cardinality == static_max_matching(adj, mate)
 
     def apply(self, event: UpdateEvent) -> MatchDelta:
         """Apply one update and return the change in cardinality with the pairs it made.

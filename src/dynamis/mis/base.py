@@ -190,10 +190,11 @@ class CountMaintainer(UpdateLoop):
         g, count, in_M = self.g, self.count, self.in_M
         if len(count) != g.id_bound or not in_M.isdisjoint(outside):
             return False
-        for v in g.vertices():
-            if count[v] != len(g.adj[v] & in_M):
+        for v, nbrs in g.adj.items():
+            c = count[v]
+            if c != len(nbrs & in_M):
                 return False
-            if v not in outside and (v in in_M) != (count[v] == 0):
+            if v not in outside and (v in in_M) != (c == 0):
                 return False
         return True
 

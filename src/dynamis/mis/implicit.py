@@ -71,20 +71,20 @@ class ImplicitMis(UpdateLoop):
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):
             return False
-        for v in self.in_S:
-            if g.adj[v] & self.in_S:
+        adj, in_S, tracked, candidates = g.adj, self.in_S, self.tracked, self.candidates
+        for v in in_S:
+            if not adj[v].isdisjoint(in_S):
                 return False
-        for v in g.vertices():
-            deg = len(g.adj[v])
-            if deg > self.tau and v not in self.tracked:
+        tau, cand_thresh, hcount = self.tau, self.cand_thresh, self.hcount
+        for v, nbrs in adj.items():
+            if v in tracked:
+                if hcount[v] != len(nbrs & in_S):
+                    return False
+            elif len(nbrs) > tau or (len(nbrs) > cand_thresh and v not in candidates):
                 return False
-            if v in self.tracked and self.hcount[v] != len(g.adj[v] & self.in_S):
-                return False
-            if v not in self.tracked and deg > self.cand_thresh and v not in self.candidates:
-                return False
-        if not self.candidates.isdisjoint(self.tracked):
+        if not candidates.isdisjoint(tracked):
             return False
-        return len(self.tracked) * self.cand_thresh <= 4 * max(g.m, 1)
+        return len(tracked) * cand_thresh <= 4 * max(g.m, 1)
 
     # -- event handlers --------------------------------------------------
 

@@ -70,17 +70,16 @@ class TwoLevelMis(CountMaintainer):
             return False
         if not self._audit_counts(self.heavy):
             return False
-        for v in g.vertices():
-            if (v in self.heavy) != (len(g.adj[v]) >= self.delta_c):
+        adj, heavy, heavy_mis, delta_c = g.adj, self.heavy, self.heavy_mis, self.delta_c
+        for v, nbrs in adj.items():
+            if (v in heavy) != (len(nbrs) >= delta_c):
                 return False
-        eligible = {v for v in self.heavy if self.count[v] == 0}
-        if not self.heavy_mis <= eligible:
+        eligible = {v for v in heavy if self.count[v] == 0}
+        if not heavy_mis <= eligible:
             return False
         for v in eligible:
-            inside = g.adj[v] & self.heavy_mis
-            if v in self.heavy_mis and inside:
-                return False
-            if v not in self.heavy_mis and not inside:
+            # a member has no neighbour in heavy_mis, any other eligible vertex one
+            if (v in heavy_mis) != adj[v].isdisjoint(heavy_mis):
                 return False
         return True
 

@@ -10,7 +10,7 @@ import pytest
 
 from dynamis import UpdateStream, parse_stream, serialize_stream
 from dynamis.bench import ALGORITHMS, REGISTRY, check_compatible, replay, scaling, stream_for_size
-from dynamis.cli import main
+from dynamis.cli import _emit, main
 from dynamis.errors import IncompatibleStreamError
 from dynamis.generators import (
     FAMILIES,
@@ -248,6 +248,20 @@ def test_cli_run_counts_every_query(algorithm, tmp_path, capsys):
     report = json.loads("\n".join(out[2:]))
     assert report["totals"]["queries"] == 2 and report["totals"]["updates"] == 1
     assert [v for v, _ in report["query_results"]] == [0, 2]
+
+
+@pytest.mark.parametrize("algorithm", [None, "mis-simple", "mis-inc", "mis-2level", "mis-implicit"])
+def test_emitted_report_is_json_dumps_at_indent_2(algorithm, tmp_path, capsys):
+    # the query pairs are laid out by hand; stdout and --report must not tell
+    if algorithm is None:
+        report = replay("flow-fd", parse_stream(TOY_FLOW))
+    else:
+        report = replay(algorithm, gen_random_edges(20, 200, 9, p_insert=1.0, query_rate=0.2))
+        assert len(report["query_results"]) > 1
+    path = tmp_path / "report.json"
+    _emit(report, str(path))
+    want = json.dumps(report, indent=2) + "\n"
+    assert capsys.readouterr().out == want and path.read_text() == want
 
 
 def test_cli_run_writes_report_file(tmp_path, capsys):

@@ -528,6 +528,9 @@ def _anti_parallel_fixture():
         lambda net: net.res_out[0].discard(2),  # the empty (0,2)'s arc missing
         lambda net: net.res_out[2].add(3),  # a stray arc
         lambda net: net.res_out[1].discard(0),  # dropped, though (1,0) and (0,1) both give it
+        lambda net: net.flow.__setitem__((0, 1), 2),  # a bad flag on the saturated side of the pair
+        lambda net: net.flow.__setitem__((1, 0), -1),  # a bad flag on the empty side
+        lambda net: net.flow.__setitem__((0, 1), 0),  # unsaturated, the sets as they were
     ],
 )
 def test_verify_catches_broken_residual_sets(corrupt):

@@ -167,6 +167,24 @@ def test_verify_catches_tampering():
     assert not alg.verify()  # not symmetric
 
 
+@pytest.mark.parametrize(
+    "mate",
+    [
+        {0: 5, 5: 0},  # 5 is deleted
+        {5: 0, 0: 5},  # the same pair, read from the deleted side first
+        {0: 2, 2: 0},  # both live, but (0,2) is no edge
+    ],
+)
+def test_verify_rejects_a_pair_off_the_graph(mate):
+    g = build(6, [(0, 1), (1, 2), (4, 5)])
+    g.delete_vertex(5)
+    alg = DynamicMatching(g)
+    assert alg.verify()
+    alg.mate.clear()
+    alg.mate.update(mate)
+    assert not alg.verify()
+
+
 ODD_CYCLE_FIXTURES = [
     # triangle with a pendant: perfect matching needs the blossom
     (4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
