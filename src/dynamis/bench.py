@@ -23,7 +23,7 @@ from .generators import FAMILIES, GenSpec
 from .graph import DynGraph
 from .matching import DynamicMatching, IncrementalMatching
 from .mis import ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
-from .mis.implicit import _ceil_sqrt
+from .mis.base import ceil_root
 from .oracles import is_mis, static_max_flow
 from .stream import DeleteEdge, DeleteVertex, InsertVertex, QueryInMis, UpdateStream
 
@@ -204,7 +204,7 @@ def stream_for_size(family: str, m: int, seed: int = 0) -> UpdateStream:
     if family not in FAMILIES:
         raise IncompatibleStreamError(f"unknown family {family!r}")
     n = max(16, 2 * isqrt(m))
-    return GenSpec(family, m=m, delta=_ceil_sqrt(m), n=n, events=m, seed=seed, p_insert=1.0).generate()
+    return GenSpec(family, m=m, delta=ceil_root(m, 1, 2), n=n, events=m, seed=seed, p_insert=1.0).generate()
 
 
 def fit_slope(sizes: list[int], totals: list[int]) -> float:

@@ -27,6 +27,10 @@ rebuilds ``heavy_mis`` after every update.  The handlers guard the heavy
 level's work, so the light-only path pays one degree comparison per endpoint
 of an inserted edge and one emptiness test per deletion.
 
+``ceil_root(x, p, q)``, the smallest d with d**q >= x**p, gives both
+degree thresholds: mis-implicit's ceil(sqrt(m_c)) and mis-2level's
+ceil(m_c**(2/3)).
+
 ``count`` is a list indexed by vertex id, of length ``g.id_bound``: ids are
 dense and never reused, so a vertex insertion appends its count and a
 deletion zeroes its slot.  Dead ids hold 0 and are never read.
@@ -45,6 +49,18 @@ from ..errors import IncompatibleStreamError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
 from ..stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
+
+
+def ceil_root(x: int, p: int, q: int) -> int:
+    """The smallest d >= 0 with d**q >= x**p, for x >= 0."""
+    target = x**p
+    # a float guess, corrected in exact integers
+    d = round(x ** (p / q))
+    while d**q < target:
+        d += 1
+    while d > 0 and (d - 1) ** q >= target:
+        d -= 1
+    return d
 
 
 class UpdateLoop:

@@ -5,40 +5,37 @@ evicts one endpoint, so S stays independent at worst-case cost bounded by the
 number of tracked (high-degree) neighbors.  Membership queries lazily admit
 the queried vertex when legal, so sweeping all vertices materializes an MIS.
 
-Tracked vertices keep an exact count of neighbors in S.  One rule holds at
-every epoch baseline m_c >= 1: degree above tau = ceil(sqrt(m_c)) forces
-immediate tracking, and degree above ceil(sqrt(m_c/2)), the tau of the
-halved baseline, queues the vertex as a candidate; one candidate is promoted
-per update, so that few are left to promote when m_c halves.  ``_classify``
-applies the rule to every untracked vertex in one pass.  The constructor
-calls it, and so does an update that halves m_c, once, at the final
-thresholds: it promotes the candidates left above the new tau, and any
-vertex that a halving from an odd m_c puts above tau although it never was
-a candidate.
+Tracked vertices keep an exact count of neighbors in S.  One threshold rule
+holds at every epoch baseline m_c >= 1, with tau = ceil(sqrt(m_c)) and the
+candidate threshold ceil(sqrt(m_c/2)), the tau of the halved baseline:
+a vertex is tracked above tau, an untracked vertex above the candidate
+threshold is queued as a candidate, and a vertex at or below it is neither.
+``_reclassify(v)`` is the only place that applies the rule; one candidate is
+promoted per update, so that few are left to promote when m_c halves.  An
+edge update reclassifies its two endpoints, and a vertex deletion deletes
+its edges one by one, which leaves it untracked and unqueued at degree 0.
+When m_c doubles, both thresholds rise, and a raised threshold can only
+demote a tracked vertex or unqueue a candidate, so the doubling reclassifies
+those two sets and no other vertex.  When m_c halves, both thresholds fall,
+and any untracked vertex may now lie above one of them, so the halving
+reclassifies every vertex (``_classify``), once, at the final thresholds, as
+the constructor does.
 
 No index of tracked neighbors is kept: a vertex entering or leaving S reads
 ``adj[v] & tracked``, which walks the smaller set, so it costs
 min(deg v, |tracked|) and is metered as such; every tracked vertex has degree
-above ceil(sqrt(m_c/2)), so |tracked| * ceil(sqrt(m_c/2)) <= 4m keeps that
+above ceil(sqrt(m_c/2)), so |tracked| * ceil(sqrt(m_c/2)) < 2m keeps that
 O(min(deg v, sqrt(m))).  Promotion reads ``adj[v] & S`` once for the count,
 and demotion reads no adjacency, so a doubling of m that demotes many
-vertices at once reads only their degrees (unmetered).  That demotion builds
-a fresh ``tracked`` set: a set never shrinks its table on discard, and every
-later intersection would walk the old table.
+vertices at once reads only their degrees (unmetered).
 """
 
 from __future__ import annotations
 
-from math import isqrt
-
 from ..errors import VertexUpdateUnsupportedError
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
-from .base import UpdateLoop
-
-
-def _ceil_sqrt(x: int) -> int:
-    return 0 if x <= 0 else isqrt(x - 1) + 1
+from .base import UpdateLoop, ceil_root
 
 
 class ImplicitMis(UpdateLoop):
@@ -54,8 +51,8 @@ class ImplicitMis(UpdateLoop):
         self._classify()
 
     def _set_thresholds(self) -> None:
-        self.tau = _ceil_sqrt(self.m_c)
-        self.cand_thresh = _ceil_sqrt((self.m_c + 1) // 2)
+        self.tau = ceil_root(self.m_c, 1, 2)
+        self.cand_thresh = ceil_root((self.m_c + 1) // 2, 1, 2)
 
     # -- public surface --------------------------------------------------
 
@@ -67,7 +64,7 @@ class ImplicitMis(UpdateLoop):
     in_mis_query = UpdateLoop._query_op
 
     def verify(self) -> bool:
-        """Full-rescan check of independence, tracking and count invariants."""
+        """Full-rescan check of independence, the counts and the threshold rule's fixpoint."""
         g = self.g
         if g.m > 0 and not (self.m_c / 2 < g.m < 2 * self.m_c):
             return False
@@ -76,15 +73,19 @@ class ImplicitMis(UpdateLoop):
             if not adj[v].isdisjoint(in_S):
                 return False
         tau, cand_thresh, hcount = self.tau, self.cand_thresh, self.hcount
+        # every live untracked vertex above cand_thresh must be queued; with
+        # their number equal to len(candidates), nothing else is
+        queued = 0
         for v, nbrs in adj.items():
+            deg = len(nbrs)
             if v in tracked:
-                if hcount[v] != len(nbrs & in_S):
+                if deg <= cand_thresh or hcount[v] != len(nbrs & in_S):
                     return False
-            elif len(nbrs) > tau or (len(nbrs) > cand_thresh and v not in candidates):
-                return False
-        if not candidates.isdisjoint(tracked):
-            return False
-        return len(tracked) * cand_thresh <= 4 * max(g.m, 1)
+            elif deg > cand_thresh:
+                if deg > tau or v not in candidates:
+                    return False
+                queued += 1
+        return queued == len(candidates)
 
     # -- event handlers --------------------------------------------------
 
@@ -97,30 +98,21 @@ class ImplicitMis(UpdateLoop):
         if v in self.in_S and u in self.tracked:
             self.hcount[u] += 1
             self.meter.touch()
-        for x in (u, v):
-            deg = len(self.g.adj[x])
-            if x not in self.tracked:
-                if deg > self.tau:
-                    self._promote(x)
-                elif deg > self.cand_thresh:
-                    self.candidates.add(x)
+        self._reclassify(u)
+        self._reclassify(v)
         if u in self.in_S and v in self.in_S:
             self._leave_S(max(u, v), log)
 
     def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
         self.g.delete_edge(u, v)
-        self._drop_edge(u, v)
-
-    def _drop_edge(self, u: int, v: int) -> None:
-        """Bookkeeping for the edge (u, v), just deleted from the graph."""
         if u in self.in_S and v in self.tracked:
             self.hcount[v] -= 1
             self.meter.touch()
         if v in self.in_S and u in self.tracked:
             self.hcount[u] -= 1
             self.meter.touch()
-        for x in (u, v):
-            self._recheck_after_degree_drop(x)
+        self._reclassify(u)
+        self._reclassify(v)
 
     def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
         if neighbors:
@@ -132,12 +124,7 @@ class ImplicitMis(UpdateLoop):
         if v in self.in_S:
             self._leave_S(v, log)
         for w in sorted(self.g.adj[v]):
-            self.g.delete_edge(v, w)
-            self._drop_edge(v, w)
-        if v in self.tracked:
-            self.tracked.discard(v)
-            del self.hcount[v]
-        self.candidates.discard(v)
+            self._delete_edge(v, w, log)
         self.g.delete_vertex(v)
 
     def _query(self, v: int) -> bool:
@@ -180,57 +167,47 @@ class ImplicitMis(UpdateLoop):
         self.hcount[v] = len(self.g.adj[v] & self.in_S)
         self.meter.touch(len(self.g.adj[v]))
 
-    def _recheck_after_degree_drop(self, v: int) -> None:
-        if len(self.g.adj[v]) > self.cand_thresh:
-            return
+    def _reclassify(self, v: int) -> None:
+        """Applies the threshold rule to ``v`` at its current degree."""
+        deg = len(self.g.adj[v])
         if v in self.tracked:
-            # demotion reads no adjacency
-            self.tracked.discard(v)
-            del self.hcount[v]
+            if deg <= self.cand_thresh:
+                # demotion reads no adjacency
+                self.tracked.discard(v)
+                del self.hcount[v]
+        elif deg > self.cand_thresh:
+            if deg > self.tau:
+                self._promote(v)
+            else:
+                self.candidates.add(v)
         else:
             self.candidates.discard(v)
+
+    def _classify(self) -> None:
+        # degree comparisons only; the scan reads no adjacency entries, so
+        # only the promotions are metered
+        for v in self.g.vertices():
+            self._reclassify(v)
 
     def _settle(self, log: AdjustmentLog) -> None:
         candidates = self.candidates
         if candidates:
-            c = min(candidates)
-            candidates.discard(c)
-            if len(self.g.adj[c]) > self.cand_thresh:
-                self._promote(c)
-        m = self.g.m
-        if m >= 2 * self.m_c or (m <= self.m_c // 2 and self.m_c > 1):
-            self._epoch_transitions()
-
-    def _epoch_transitions(self) -> None:
-        m = self.g.m
-        if m >= 2 * self.m_c:
-            while m >= 2 * self.m_c:
-                self.m_c *= 2
-            self._set_thresholds()
-            stale = {v for v in self.tracked if len(self.g.adj[v]) <= self.cand_thresh}
+            self._promote(min(candidates))
+        m, m_c = self.g.m, self.m_c
+        while m >= 2 * m_c:
+            m_c *= 2
+        while m <= m_c // 2 and m_c > 1:
+            m_c //= 2
+        if m_c == self.m_c:
+            return
+        grew = m_c > self.m_c
+        self.m_c = m_c
+        self._set_thresholds()
+        if grew:
+            for v in [*self.tracked, *candidates]:
+                self._reclassify(v)
             # a fresh set: discard never shrinks a set's table, and every
             # adj[v] & tracked would walk the old one
-            self.tracked = self.tracked.difference(stale)
-            for v in stale:
-                del self.hcount[v]
-            self.candidates = {v for v in self.candidates if len(self.g.adj[v]) > self.cand_thresh}
+            self.tracked = set(self.tracked)
         else:
-            while m <= self.m_c // 2 and self.m_c > 1:
-                self.m_c //= 2
-            self._set_thresholds()
             self._classify()
-
-    def _classify(self) -> None:
-        """Track every untracked vertex above tau; pool those above the candidate threshold."""
-        adj, tracked, pool = self.g.adj, self.tracked, set()
-        # degree comparisons only; the scan reads no adjacency entries, so
-        # only the promotions are metered
-        for v in self.g.vertices():
-            if v in tracked:
-                continue
-            deg = len(adj[v])
-            if deg > self.tau:
-                self._promote(v)
-            elif deg > self.cand_thresh:
-                pool.add(v)
-        self.candidates = pool

@@ -34,17 +34,7 @@ from itertools import compress, filterfalse
 
 from ..graph import DynGraph
 from ..meter import AdjustmentLog, CostMeter
-from .base import CountMaintainer, UpdateLoop
-
-
-def _ceil_pow_two_thirds(m: int) -> int:
-    """Smallest d with d**3 >= m**2."""
-    d = max(1, round(m ** (2.0 / 3.0)))
-    while d ** 3 < m * m:
-        d += 1
-    while d > 1 and (d - 1) ** 3 >= m * m:
-        d -= 1
-    return d
+from .base import CountMaintainer, UpdateLoop, ceil_root
 
 
 class TwoLevelMis(CountMaintainer):
@@ -100,7 +90,7 @@ class TwoLevelMis(CountMaintainer):
         """
         adj = self.g.adj
         self.m_c = max(self.g.m, 1)
-        delta_c = self.delta_c = _ceil_pow_two_thirds(self.m_c)
+        delta_c = self.delta_c = ceil_root(self.m_c, 2, 3)
         heavy = self.heavy = {v for v in active if len(adj[v]) >= delta_c}
         self.count = [0] * self.g.id_bound
         self.in_M.difference_update(active)

@@ -27,7 +27,7 @@ from dynamis import (
 )
 from dynamis.bench import replay, scaling
 from dynamis.generators import gen_arbitrary_removal, gen_random_edges, gen_random_flow
-from dynamis.mis.implicit import _ceil_sqrt
+from dynamis.mis.base import ceil_root
 from dynamis.oracles import is_mis, static_max_flow, static_max_matching
 from dynamis.stream import DeleteVertex
 
@@ -218,7 +218,7 @@ def test_criterion_07_implicit_worst_case(capsys):
             else:
                 alg.apply(event)
             dmax = max(d_before, g.max_degree())
-            cap = 30 * min(dmax, 2 * _ceil_sqrt(2 * alg.m_c))
+            cap = 30 * min(dmax, 2 * ceil_root(2 * alg.m_c, 1, 2))
             if meter.edges_touched - work0 > max(cap, 30):
                 reason = "per-op work"
                 break

@@ -19,7 +19,7 @@ from dynamis.generators import (
     gen_random_edges,
     gen_random_flow,
 )
-from dynamis.mis.implicit import _ceil_sqrt
+from dynamis.mis.base import ceil_root
 from dynamis.stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis
 
 
@@ -151,7 +151,7 @@ def test_stream_for_size_families():
 def _reference_stream_for_size(family, m, seed=0):
     # the family dispatch stream_for_size kept before it built a GenSpec
     if family == "arbitrary-removal":
-        return gen_arbitrary_removal(m, _ceil_sqrt(m))
+        return gen_arbitrary_removal(m, ceil_root(m, 1, 2))
     if family == "degree-biased":
         return gen_degree_biased(m)
     if family in ("random-edges", "random-matching"):

@@ -15,8 +15,7 @@ import pytest
 
 from dynamis import DynGraph, IncrementalMis, SimpleMis, TwoLevelMis
 from dynamis.generators import gen_arbitrary_removal, gen_degree_biased, gen_random_edges
-from dynamis.mis.base import CountMaintainer
-from dynamis.mis.twolevel import _ceil_pow_two_thirds
+from dynamis.mis.base import CountMaintainer, ceil_root
 from dynamis.stream import QueryInMis
 
 
@@ -54,7 +53,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
     def _init_phase(self, active=None):
         g = self.g
         self.m_c = max(g.m, 1)
-        self.delta_c = _ceil_pow_two_thirds(self.m_c)
+        self.delta_c = ceil_root(self.m_c, 2, 3)
         self.heavy = {v for v in g.vertices() if len(g.adj[v]) >= self.delta_c}
         self.in_M = set()
         self.count = {v: 0 for v in g.vertices()}

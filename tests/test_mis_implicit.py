@@ -6,7 +6,7 @@ import pytest
 from dynamis import DeleteEdge, DeleteVertex, DynGraph, ImplicitMis, InsertEdge, InsertVertex
 from dynamis.bench import stream_for_size
 from dynamis.errors import MissingEdgeError, VertexUpdateUnsupportedError
-from dynamis.mis.implicit import _ceil_sqrt
+from dynamis.mis.base import ceil_root
 from dynamis.oracles import is_mis
 
 
@@ -23,7 +23,7 @@ def sweep(alg):
 
 
 def test_ceil_sqrt():
-    assert [_ceil_sqrt(x) for x in (0, 1, 2, 4, 5, 9, 10)] == [0, 1, 2, 2, 3, 3, 4]
+    assert [ceil_root(x, 1, 2) for x in (0, 1, 2, 4, 5, 9, 10)] == [0, 1, 2, 2, 3, 3, 4]
 
 
 def test_insert_inside_set_removes_one():
@@ -227,7 +227,7 @@ def test_growth_keeps_the_worst_case_bound(family):
         for event in stream.events:
             alg.apply(event)
         max_degree = max(map(len, alg.g.adj.values()))
-        bound = 2 * min(max_degree, _ceil_sqrt(m))
+        bound = 2 * min(max_degree, ceil_root(m, 1, 2))
         assert alg.meter.max_op_edges_touched <= bound, (m, alg.meter.max_op_edges_touched, bound)
 
 
@@ -278,6 +278,34 @@ def test_halving_from_an_odd_baseline_tracks_every_vertex_above_tau():
         assert alg.verify(), (u, v, alg.m_c)
     assert alg.m_c == 10 and 0 in alg.tracked
     assert is_mis(alg.g.adj, sweep(alg)).ok
+
+
+def _star_with_12_leaves():
+    alg = ImplicitMis(DynGraph(13))
+    for w in range(1, 13):
+        alg.apply(InsertEdge(0, w))
+    assert (alg.m_c, alg.tau, alg.cand_thresh) == (8, 3, 2)
+    assert alg.tracked == {0} and not alg.candidates
+    assert alg.verify()
+    return alg
+
+
+def _track_leaf(alg):
+    alg.tracked.add(5)
+    alg.hcount[5] = len(alg.g.adj[5] & alg.in_S)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_track_leaf, lambda alg: alg.candidates.add(5), lambda alg: alg.candidates.add(99)],
+    ids=["tracked-leaf", "queued-leaf", "queued-dead-id"],
+)
+def test_audit_catches_a_broken_threshold_rule(corrupt):
+    # a tracked vertex must lie above the candidate threshold, and the
+    # candidates must be exactly the live untracked vertices above it
+    alg = _star_with_12_leaves()
+    corrupt(alg)
+    assert not alg.verify()
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -33,6 +33,10 @@ def _stream(name, algorithm):
         return gen_arbitrary_removal(256, 16)
     if name == "degree-biased":
         return gen_degree_biased(256)
+    if name == "random-edges-shrink/30":
+        # shrink-heavy: mis-implicit's m_c halves 53 times and doubles 59
+        # times, up to 64, and candidates stay queued after 34 updates
+        return gen_random_edges(30, 3000, seed=43, p_insert=0.5, query_rate=0.1)
     n = int(name.rpartition("/")[2])
     if algorithm == "mis-inc":
         # insertion-only, saturating: the generator grows by isolated vertices
@@ -93,6 +97,7 @@ PINNED = {
     ("mis-implicit", "random-edges/30"): "0eaee3dac7514251",
     ("mis-implicit", "arbitrary-removal"): "af23caa5575e4a0e",
     ("mis-implicit", "degree-biased"): "086b373fb518b502",
+    ("mis-implicit", "random-edges-shrink/30"): "b408d6b9ee45af67",
 }
 
 

@@ -14,7 +14,7 @@ from dynamis import (
     TwoLevelMis,
 )
 from dynamis.generators import gen_arbitrary_removal, gen_degree_biased, gen_random_edges
-from dynamis.mis.twolevel import _ceil_pow_two_thirds
+from dynamis.mis.base import ceil_root
 from dynamis.oracles import is_mis
 
 
@@ -26,10 +26,10 @@ def build(n, edges):
 
 
 def test_threshold_value():
-    assert _ceil_pow_two_thirds(1000) == 100
-    assert _ceil_pow_two_thirds(1) == 1
-    assert _ceil_pow_two_thirds(8) == 4
-    assert _ceil_pow_two_thirds(9) == 5  # smallest d with d^3 >= 81
+    assert ceil_root(1000, 2, 3) == 100
+    assert ceil_root(1, 2, 3) == 1
+    assert ceil_root(8, 2, 3) == 4
+    assert ceil_root(9, 2, 3) == 5  # smallest d with d^3 >= 81
 
 
 def test_all_light_matches_simple():
