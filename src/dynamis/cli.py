@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import cache
 
 from .bench import ALGORITHMS, replay, scaling
@@ -31,17 +32,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--verify", action="store_true", help="audit after every event")
     p_run.add_argument("--report", metavar="FILE", help="also write the JSON report here")
 
-    p_gen = sub.add_parser("gen", help="write a generated stream")
+    # a GenSpec option left out keeps GenSpec's own default
+    p_gen = sub.add_parser("gen", help="write a generated stream", argument_default=argparse.SUPPRESS)
     p_gen.add_argument("--family", choices=FAMILIES, required=True)
-    p_gen.add_argument("--m", type=int, default=0, help="edge budget")
-    p_gen.add_argument("--delta", type=int, default=0, help="max degree (arbitrary-removal)")
-    p_gen.add_argument("--n", type=int, default=10, help="vertex budget (random families)")
-    p_gen.add_argument("--events", type=int, default=100)
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--p-insert", type=float, default=0.7)
-    p_gen.add_argument("--query-rate", type=float, default=0.0)
-    p_gen.add_argument("--vertex-rate", type=float, default=0.0)
-    p_gen.add_argument("--out", metavar="FILE", help="output path (default stdout)")
+    p_gen.add_argument("--m", type=int, help="edge budget")
+    p_gen.add_argument("--delta", type=int, help="max degree (arbitrary-removal)")
+    p_gen.add_argument("--n", type=int, help="vertex budget (random families)")
+    p_gen.add_argument("--events", type=int)
+    p_gen.add_argument("--seed", type=int)
+    p_gen.add_argument("--p-insert", type=float)
+    p_gen.add_argument("--query-rate", type=float)
+    p_gen.add_argument("--vertex-rate", type=float)
+    p_gen.add_argument("--out", metavar="FILE", default=None, help="output path (default stdout)")
 
     p_sc = sub.add_parser("scaling", help="fit a log-log work slope over stream sizes")
     p_sc.add_argument("algorithm", choices=ALGORITHMS)
@@ -71,17 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(
-        family=args.family,
-        m=args.m,
-        delta=args.delta,
-        n=args.n,
-        events=args.events,
-        seed=args.seed,
-        p_insert=args.p_insert,
-        query_rate=args.query_rate,
-        vertex_rate=args.vertex_rate,
-    )
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec) if hasattr(args, f.name)})
     text = serialize_stream(spec.generate())
     if args.out:
         with open(args.out, "w") as fh:

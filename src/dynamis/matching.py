@@ -15,20 +15,23 @@ augmenting path; the forest flips it along these pointers and runs no
 second search.  A contraction finds the closing edge's lowest common base
 by walking both sides up in turn, to the first base seen twice.
 
-``_grow`` scans the queued even vertices and settles every neighbour in its
-own loop: one with the scanned vertex's base or an odd base is skipped, an
-unlabelled one is attached with its mate, which is queued, and an even one
-contracts a blossom in the same tree or augments from another.  A
-contraction may move the scanned vertex's base, so the base is found again
-after it.  ``_absorb_edge`` applies the same rule to an inserted edge.
+``_grow`` is the only code that settles an edge.  It scans even vertices
+and settles each neighbour: one with the scanned vertex's base or an odd
+base is skipped, an unlabelled one is attached with its mate, which is
+queued, and an even one contracts a blossom in the same tree or augments
+from another.  A contraction may move the scanned vertex's base, so the
+base is found again after it.  ``_grow_fresh`` starts every forest, from
+all the free vertices, and grows it.
 
-An inserted edge is fed into the standing forest.  It either closes an
-augmenting path, and the matching grows by one, which is all an insertion
-can add; or it attaches a matched pair to a tree or contracts a blossom, and
-the forest grows from the vertices that turned even.  Every vertex is
-scanned at most once per forest, so an insertion costs O(n + m).  Once the
-forest is complete, no edge joins even vertices of two trees, and the
-matching is maximum.
+An inserted edge (u, v), oriented so that u's base is even, enters the
+standing forest as ``_grow``'s first scan: u with the one neighbour v.
+``_absorb_edge`` skips, at one touch, an edge the rule would skip.  Any
+other edge either closes an augmenting path, and the matching grows by one,
+which is all an insertion can add; or it attaches a matched pair to a tree
+or contracts a blossom, and the forest grows from the vertices that turned
+even.  Every vertex is scanned at most once per forest, so an insertion
+costs O(n + m).  Once the forest is complete, no edge joins even vertices
+of two trees, and the matching is maximum.
 
 A deletion of a matched edge, and a vertex update that frees a vertex or
 adds one with edges, grows a fresh forest through ``augment_from``: only
@@ -92,9 +95,8 @@ class DynamicMatching:
         self.mate: dict[int, int] = {}
         self.meter = CostMeter()
         # each pass augments once, until one leaves a complete forest
-        self._build_forest()
-        while self._grow():
-            self._build_forest()
+        while self._grow_fresh():
+            pass
         self.stage_touches: list[int] = []
         self._stage_start = self.meter.edges_touched
 
@@ -110,8 +112,7 @@ class DynamicMatching:
         """
         if v in self.mate:
             raise NotFreeError(f"vertex {v} is matched")
-        self._build_forest()
-        return self._grow()
+        return self._grow_fresh()
 
     def verify(self) -> bool:
         mate, adj = self.mate, self.g.adj
@@ -183,33 +184,20 @@ class DynamicMatching:
             return []  # no free vertex, so no augmenting path
         if self._stale:
             # the fresh forest scans every even vertex, the new edge included
-            self._build_forest()
-        else:
+            return self._grow_fresh() or []
+        find, label = self._find, self.label
+        bu, bv = find(u), find(v)
+        if label.get(bu) != EVEN:
+            u, v, bu, bv = v, u, bv, bu
+        if bu == bv or label.get(bu) != EVEN or label.get(bv) == ODD:
             self.meter.touch(1)
-            find, label = self._find, self.label
-            bu, bv = find(u), find(v)
-            if label.get(bu) != EVEN:
-                u, v, bu, bv = v, u, bv, bu
-            lv = label.get(bv)
-            if bu == bv or label.get(bu) != EVEN or lv == ODD:
-                return []
-            if lv is None:
-                mv = mate[v]
-                label[v] = ODD
-                self.parent[v] = u
-                self.root[v] = self.root[mv] = self.root[u]
-                label[mv] = EVEN
-                self._queue.append(mv)
-            elif self.root[bu] == self.root[bv]:
-                self._contract(u, v, bu, bv)
-            else:
-                return self._augment(u, v)
-        return self._grow() or []
+            return []  # the rule skips the edge
+        return self._grow((u, v)) or []
 
     # -- forest machinery ------------------------------------------------
 
-    def _build_forest(self) -> None:
-        """Starts a forest whose trees are all the free vertices."""
+    def _grow_fresh(self) -> list[tuple[int, int]] | None:
+        """Starts a forest whose trees are all the free vertices and grows it."""
         roots = list(filterfalse(self.mate.__contains__, self.g.adj))
         self._stale = False
         self.label: dict[int, int] = dict.fromkeys(roots, EVEN)
@@ -217,6 +205,7 @@ class DynamicMatching:
         self.parent: dict[int, int] = {}
         self.dsu: dict[int, int] = {}
         self._queue: deque[int] = deque(roots)
+        return self._grow()
 
     def _add_root(self, v: int) -> None:
         """Adds the new isolated vertex ``v`` to a complete forest as a one-vertex tree."""
@@ -224,22 +213,25 @@ class DynamicMatching:
             self.label[v] = EVEN
             self.root[v] = v
 
-    def _grow(self) -> list[tuple[int, int]] | None:
-        """Scan queued even vertices until the forest is complete or augments.
+    def _grow(self, first: tuple[int, int] | None = None) -> list[tuple[int, int]] | None:
+        """Scans even vertices until the forest is complete or augments.
 
-        A queued vertex's base is even, so the loop settles every neighbour
-        itself (see the module docstring).  The scans are charged to the
+        ``first``, an edge (u, v) with u's base even, is scanned before the
+        queue as u with the one neighbour v.  The scans are charged to the
         meter once, on the way out.
         """
         queue = self._queue
-        if not queue:
+        if first is None and not queue:
             return None
         adj, mate, label, root, parent = self.g.adj, self.mate, self.label, self.root, self.parent
         dsu, find = self.dsu, self._find
         touched = 0
-        while queue:
+        if first is None:
             v = queue.popleft()
             nbrs = adj[v]
+        else:
+            v, nbrs = first[0], first[1:]
+        while True:
             touched += len(nbrs)
             bv = find(v) if v in dsu else v
             for w in nbrs:
@@ -263,6 +255,10 @@ class DynamicMatching:
                 else:
                     self.meter.touch(touched)
                     return self._augment(v, w)
+            if not queue:
+                break
+            v = queue.popleft()
+            nbrs = adj[v]
         self.meter.touch(touched)
         return None
 

@@ -73,19 +73,22 @@ class ImplicitMis(UpdateLoop):
             if not adj[v].isdisjoint(in_S):
                 return False
         tau, cand_thresh, hcount = self.tau, self.cand_thresh, self.hcount
-        # every live untracked vertex above cand_thresh must be queued; with
-        # their number equal to len(candidates), nothing else is
-        queued = 0
+        # every live tracked vertex must carry its count, and every live
+        # untracked one above cand_thresh must be queued; with their numbers
+        # equal to len(tracked), len(hcount) and len(candidates), no other
+        # vertex is tracked, counted or queued
+        queued = counted = 0
         for v, nbrs in adj.items():
             deg = len(nbrs)
             if v in tracked:
-                if deg <= cand_thresh or hcount[v] != len(nbrs & in_S):
+                if deg <= cand_thresh or hcount.get(v) != len(nbrs & in_S):
                     return False
+                counted += 1
             elif deg > cand_thresh:
                 if deg > tau or v not in candidates:
                     return False
                 queued += 1
-        return queued == len(candidates)
+        return queued == len(candidates) and counted == len(tracked) == len(hcount)
 
     # -- event handlers --------------------------------------------------
 

@@ -14,6 +14,7 @@ from dynamis.cli import _emit, main
 from dynamis.errors import IncompatibleStreamError
 from dynamis.generators import (
     FAMILIES,
+    GenSpec,
     gen_arbitrary_removal,
     gen_degree_biased,
     gen_random_edges,
@@ -288,6 +289,12 @@ def test_cli_gen_arbitrary_removal_stdout(capsys):
     out = capsys.readouterr().out
     lines = [line for line in out.splitlines() if line.startswith("+e")]
     assert len(lines) == 20
+
+
+@pytest.mark.parametrize("family", ["random-edges", "random-flow", "random-matching"])
+def test_cli_gen_takes_its_defaults_from_genspec(family, capsys):
+    assert main(["gen", "--family", family]) == 0
+    assert capsys.readouterr().out == serialize_stream(GenSpec(family).generate())
 
 
 def test_cli_gen_bad_parameters_exit_2(capsys):

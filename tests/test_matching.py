@@ -524,8 +524,10 @@ def test_constructor_leaves_a_complete_forest(seed):
 def test_kept_forest_fuzz():
     # 1,000 seeded streams, 40% deletions, vertex churn on every third: the
     # matching is maximum after every event, and whenever the forest is not
-    # stale it passes the audit
-    kept = Counter()
+    # stale it passes the audit.  An inserted edge fed into a complete
+    # forest with a free vertex is counted by what it did, so that every
+    # outcome of the edge rule stays exercised.
+    kept, outcomes = Counter(), Counter()
     for seed in range(1000):
         n = 4 + seed % 11
         vertex_rate = 0.15 if seed % 3 == 0 else 0.0
@@ -534,7 +536,22 @@ def test_kept_forest_fuzz():
         for event in stream.events:
             fresh = not alg._stale
             matched = isinstance(event, DeleteEdge) and alg.mate.get(event.u) == event.v
-            alg.apply(event)
+            # an edge between two free vertices is matched without the forest
+            fed = (
+                fresh and isinstance(event, InsertEdge) and len(alg.mate) < alg.g.n
+                and (event.u in alg.mate or event.v in alg.mate)
+            )
+            contracted, labelled = len(alg.dsu), len(alg.label)
+            delta = alg.apply(event)
+            if fed:
+                if delta.delta == 1:
+                    outcomes["augmented"] += 1
+                elif len(alg.dsu) > contracted:
+                    outcomes["contracted"] += 1
+                elif len(alg.label) > labelled:
+                    outcomes["attached"] += 1
+                else:
+                    outcomes["skipped"] += 1
             if fresh and not alg._stale:
                 kept[type(event)] += 1
             if matched and not alg._stale:
@@ -544,6 +561,7 @@ def test_kept_forest_fuzz():
                 _audit_forest(alg)
     assert kept[DeleteEdge] >= 1000 and kept[InsertVertex] >= 50, kept
     assert kept["matched deletion"] >= 1000, kept
+    assert all(outcomes[k] >= 400 for k in ("augmented", "contracted", "attached", "skipped")), outcomes
 
 
 def test_isolated_vertex_joins_a_kept_forest():

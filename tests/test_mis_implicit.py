@@ -295,17 +295,34 @@ def _track_leaf(alg):
     alg.hcount[5] = len(alg.g.adj[5] & alg.in_S)
 
 
+def _track_dead_id(alg):
+    alg.tracked.add(99)
+    alg.hcount[99] = 0
+
+
 @pytest.mark.parametrize(
     "corrupt",
-    [_track_leaf, lambda alg: alg.candidates.add(5), lambda alg: alg.candidates.add(99)],
-    ids=["tracked-leaf", "queued-leaf", "queued-dead-id"],
+    [
+        _track_leaf,
+        lambda alg: alg.candidates.add(5),
+        lambda alg: alg.candidates.add(99),
+        lambda alg: alg.hcount.pop(0),
+        lambda alg: alg.hcount.update({7: 0}),
+        _track_dead_id,
+    ],
+    ids=[
+        "tracked-leaf", "queued-leaf", "queued-dead-id",
+        "tracked-without-count", "untracked-count", "tracked-dead-id",
+    ],
 )
 def test_audit_catches_a_broken_threshold_rule(corrupt):
-    # a tracked vertex must lie above the candidate threshold, and the
-    # candidates must be exactly the live untracked vertices above it
+    # a tracked vertex must lie above the candidate threshold and carry its
+    # count, only tracked vertices carry one, and the candidates must be
+    # exactly the live untracked vertices above the threshold; a corruption
+    # makes the audit return False, never raise
     alg = _star_with_12_leaves()
     corrupt(alg)
-    assert not alg.verify()
+    assert alg.verify() is False
 
 
 @pytest.mark.parametrize("seed", range(20))
