@@ -48,7 +48,6 @@ neither edge keeps it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import (
@@ -294,10 +293,9 @@ class FlowNetwork:
         if stop in prev:
             return
         res_out = self.res_out
-        queue = deque([start])
+        queue = [start]
         touched = 0
-        while queue:
-            w = queue.popleft()
+        for w in queue:
             targets = res_out[w]
             touched += len(targets)
             for x in targets:

@@ -233,9 +233,16 @@ class DynamicMatching:
             v, nbrs = first[0], first[1:]
         while True:
             touched += len(nbrs)
-            bv = find(v) if v in dsu else v
+            bv = dsu.get(v, v)
+            if bv in dsu:
+                bv = find(bv)
             for w in nbrs:
-                bw = find(w) if w in dsu else w
+                if w in dsu:
+                    bw = dsu[w]
+                    if bw in dsu:
+                        bw = find(bw)
+                else:
+                    bw = w
                 if bw == bv:
                     continue
                 lw = label.get(bw)
@@ -296,11 +303,14 @@ class DynamicMatching:
         mb = self.mate.get(b)
         if mb is None:
             return None
-        return self._find(self.parent[mb])
+        dsu = self.dsu
+        p = self.parent[mb]
+        b = dsu.get(p, p)
+        return self._find(b) if b in dsu else b
 
     def _contract(self, u: int, v: int, bu: int, bv: int) -> None:
         """Contracts the blossom that edge (u,v), with bases bu and bv, closes in one tree."""
-        find, mate, parent = self._find, self.mate, self.parent
+        find, mate, parent, dsu, up = self._find, self.mate, self.parent, self.dsu, self._up
         # walk both sides up in turn; the first base seen twice is the lowest common one
         seen: set[int] = set()
         x, y = bu, bv
@@ -308,24 +318,30 @@ class DynamicMatching:
             assert x is not None or y is not None, "bases share no root"
             if x is not None:
                 seen.add(x)
-                x = self._up(x)
+                x = up(x)
             x, y = y, x
         lca = x
         members: set[int] = set()
         for x, across in ((u, v), (v, u)):
             # each even vertex on this side points back along the cycle, the
             # endpoint across the closing edge
-            while find(x) != lca:
+            while True:
+                bx = dsu.get(x, x)
+                if bx in dsu:
+                    bx = find(bx)
+                if bx == lca:
+                    break
                 mx = mate[x]
-                members.add(find(x))
-                members.add(find(mx))
+                members.add(bx)
+                bm = dsu.get(mx, mx)
+                members.add(find(bm) if bm in dsu else bm)
                 parent[x] = across
                 across = mx
                 x = parent[mx]
         for b in members:
             if self.label[b] == ODD:
                 self._queue.append(b)  # an odd vertex inside a blossom is even
-            self.dsu[b] = lca
+            dsu[b] = lca
 
 
 class IncrementalMatching(DynamicMatching):
