@@ -4,7 +4,9 @@
 alternating forest with blossoms contracted through a disjoint-set union
 over their bases (Edmonds 1965, "Paths, trees, and flowers"; Gabow & Tarjan
 1985).  Every forest is grown from all the free vertices, so every free
-vertex is a root and a vertex outside the forest is matched.
+vertex is a root and a vertex outside the forest is matched.  A vertex's
+base is ``dsu[x]`` once x is contracted, and the union is searched further
+only when that base was contracted in turn.
 
 Each odd vertex points at the even vertex it hangs from.  Contracting a
 blossom points each even vertex on its cycle back along the cycle towards
@@ -21,7 +23,19 @@ base is skipped, an unlabelled one is attached with its mate, which is
 queued, and an even one contracts a blossom in the same tree or augments
 from another.  A contraction may move the scanned vertex's base, so the
 base is found again after it.  ``_grow_fresh`` starts every forest, from
-all the free vertices, and grows it.
+all the free vertices, and grows it, unless the forest would be futile.
+
+An augmenting path joins two distinct free vertices, each with an edge
+(Berge 1957).  So while fewer than two free vertices have an edge, no forest
+can augment, and ``_grow_fresh`` grows none: it counts those vertices in its
+root scan, and with fewer than two leaves the forest empty, stale and
+futile.  An insertion between two matched vertices gives no free vertex an
+edge, so a futile forest answers it with no pairs and no touches.  Every
+event that can give a free vertex an edge reaches ``_grow_fresh`` again and
+re-counts: an insertion at a free endpoint (unless both are free, which
+matches them and frees none), the deletion of a matched edge, and a vertex
+event through ``augment_from``.  Every other event keeps the count below
+two.
 
 An inserted edge (u, v), oriented so that u's base is even, enters the
 standing forest as ``_grow``'s first scan: u with the one neighbour v.
@@ -37,15 +51,15 @@ A deletion of a matched edge, and a vertex update that frees a vertex or
 adds one with edges, grows a fresh forest through ``augment_from``: only
 paths ending at a freed or new vertex can augment, at most one does, and
 the full forest finds it.  If none does, that forest is complete and the
-next insertion feeds it.  The forest goes stale only after an augmentation,
-the deletion of an unmatched edge that is a parent pointer (``parent[x] ==
-y`` or ``parent[y] == x``), or the deletion of an unmatched vertex; it is
-rebuilt at the next insertion that needs it.  Every unmatched edge that a
-walk or a blossom cycle relies on is such a pointer; a blossom's closing
-edge is recorded on at least one side, since its endpoints have different
-bases.  Deleting any other edge leaves a complete forest complete, its roots
-still the free vertices, and an isolated new vertex joins it as a free
-one-vertex tree.
+next insertion feeds it, or it is futile.  A grown forest goes stale only
+after an augmentation, the deletion of an unmatched edge that is a parent
+pointer (``parent[x] == y`` or ``parent[y] == x``), or the deletion of an
+unmatched vertex; it is rebuilt at the next insertion that needs it.  Every
+unmatched edge that a walk or a blossom cycle relies on is such a pointer;
+a blossom's closing edge is recorded on at least one side, since its
+endpoints have different bases.  Deleting any other edge leaves a complete
+forest complete, its roots still the free vertices, and an isolated new
+vertex joins it as a free one-vertex tree.
 
 The forest meters every adjacency scan it makes.  A stage is the span of
 updates that ends when the matching grows; ``stage_touches`` records the
@@ -87,14 +101,16 @@ class DynamicMatching:
     on the cycle towards the edge that closed it (an endpoint of that edge
     to the other).  ``_queue`` holds even vertices not scanned yet.  A
     forest grows from all the free vertices; while ``_stale`` is false it is
-    complete and its roots are still exactly the free vertices.
+    complete and its roots are still exactly the free vertices.  While
+    ``_futile`` is true the forest is stale and empty, and at most one free
+    vertex has an edge.
     """
 
     def __init__(self, g: DynGraph):
         self.g = g
         self.mate: dict[int, int] = {}
         self.meter = CostMeter()
-        # each pass augments once, until one leaves a complete forest
+        # each pass augments once, until one leaves a complete or futile forest
         while self._grow_fresh():
             pass
         self.stage_touches: list[int] = []
@@ -108,7 +124,7 @@ class DynamicMatching:
         """Grows a fresh forest once the free vertex ``v`` may end an augmenting path.
 
         Returns the new pairs of the path it flips, or None; then the forest
-        is complete.
+        is complete, or futile and not grown.
         """
         if v in self.mate:
             raise NotFreeError(f"vertex {v} is matched")
@@ -180,9 +196,9 @@ class DynamicMatching:
             mate[v] = u
             self._stale = True
             return [(min(u, v), max(u, v))]
-        if len(mate) == self.g.n:
-            return []  # no free vertex, so no augmenting path
         if self._stale:
+            if self._futile and u in mate and v in mate:
+                return []  # no free vertex gained an edge
             # the fresh forest scans every even vertex, the new edge included
             return self._grow_fresh() or []
         find, label = self._find, self.label
@@ -197,9 +213,17 @@ class DynamicMatching:
     # -- forest machinery ------------------------------------------------
 
     def _grow_fresh(self) -> list[tuple[int, int]] | None:
-        """Starts a forest whose trees are all the free vertices and grows it."""
-        roots = list(filterfalse(self.mate.__contains__, self.g.adj))
-        self._stale = False
+        """Starts a forest whose trees are all the free vertices and grows it.
+
+        An augmenting path joins two free vertices that have edges.  With
+        fewer than two the forest is left empty, stale and futile.
+        """
+        adj = self.g.adj
+        roots = list(filterfalse(self.mate.__contains__, adj))
+        # reads each root's set size, not its entries
+        self._stale = self._futile = sum(map(bool, map(adj.__getitem__, roots))) < 2
+        if self._futile:
+            roots = []
         self.label: dict[int, int] = dict.fromkeys(roots, EVEN)
         self.root: dict[int, int] = dict(zip(roots, roots))
         self.parent: dict[int, int] = {}

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import repeat
 
 import pytest
 
@@ -28,12 +29,31 @@ def build(n, edges):
 
 
 def _with_mate(g, mate):
-    """A matching on ``g`` whose ``mate`` is set by hand, so its forest is stale."""
+    """A matching on ``g`` whose ``mate`` is set by hand, so its forest is stale.
+
+    Nor is the forest futile: the hand-set matching may leave several free
+    vertices with edges.
+    """
     alg = DynamicMatching(g)
     alg.mate.clear()
     alg.mate.update(mate)
     alg._stale = True
+    alg._futile = False
     return alg
+
+
+def _free_with_edges(alg):
+    return sum(1 for v, nbrs in alg.g.adj.items() if nbrs and v not in alg.mate)
+
+
+def _with_spare_path(n, edges, mate):
+    """``n``, ``edges`` and ``mate`` with the path a-b=c on new vertices n, n+1, n+2.
+
+    a is a free vertex with an edge in a component of its own, so a forest
+    grown while one other free vertex has an edge is not futile.
+    """
+    a, b, c = n, n + 1, n + 2
+    return n + 3, [*edges, (a, b), (b, c)], {**mate, b: c, c: b}
 
 
 def test_augment_single_edge():
@@ -463,14 +483,21 @@ def _audit_forest(alg):
         assert z == tree if steps else x == tree
 
 
+def _audit_futile(alg):
+    """Test-only audit of a futile forest: stale, empty, and at most one free vertex has an edge."""
+    assert alg._futile and alg._stale
+    assert not (alg.label or alg.root or alg.parent or alg.dsu or alg._queue)
+    assert _free_with_edges(alg) < 2
+
+
 def test_deleting_an_edge_outside_the_forest_keeps_it():
     # 0=1 and 2=3 matched, 4 and 5 free; the forest hangs 0 from 4 and 2
     # from 1, so 4-0=1-2=3 is one tree, 5 another, and (0,2) joins two odd
-    # vertices
-    g = build(6, [(0, 1), (2, 3), (1, 2), (0, 2)])
-    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    # vertices; the spare path 6-7=8 is a third tree
+    n, edges, mate = _with_spare_path(6, [(0, 1), (2, 3), (1, 2), (0, 2)], {0: 1, 1: 0, 2: 3, 3: 2})
+    alg = _with_mate(build(n, edges), mate)
     assert alg.apply(InsertEdge(4, 0)).delta == 0
-    assert not alg._stale and alg.parent == {0: 4, 2: 1}
+    assert not alg._stale and alg.parent == {0: 4, 2: 1, 7: 6}
     _audit_forest(alg)
     before = alg.meter.edges_touched
     assert alg.apply(DeleteEdge(0, 2)).delta == 0
@@ -486,23 +513,24 @@ def test_deleting_an_edge_outside_the_forest_keeps_it():
 # parent pointers named from either end
 @pytest.mark.parametrize("edge", [(1, 2), (2, 1), (0, 4)])
 def test_deleting_a_forest_edge_leaves_it_stale(edge):
-    g = build(5, [(0, 1), (2, 3), (1, 2)])
-    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    n, edges, mate = _with_spare_path(5, [(0, 1), (2, 3), (1, 2)], {0: 1, 1: 0, 2: 3, 3: 2})
+    alg = _with_mate(build(n, edges), mate)
     alg.apply(InsertEdge(4, 0))
-    assert not alg._stale and alg.parent == {0: 4, 2: 1}
+    assert not alg._stale and alg.parent == {0: 4, 2: 1, 6: 5}
     alg.apply(DeleteEdge(*edge))
     assert alg._stale
     _check_matching(alg)
 
 
 def test_matched_deletion_without_augmenting_path_leaves_a_complete_forest():
-    # 0=1 and 2=3 matched on the path 0-1-2-3, 4 isolated; deleting 0=1
-    # frees 0 and 1, and the forest from 0, 1 and 4 finds no augmenting path
-    g = build(5, [(0, 1), (1, 2), (2, 3)])
-    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    # 0=1 and 2=3 matched on the path 0-1-2-3, 4 isolated, and the spare
+    # path 5-6=7; deleting 0=1 frees 0 and 1, and the forest from 0, 1, 4
+    # and 5 finds no augmenting path
+    n, edges, mate = _with_spare_path(5, [(0, 1), (1, 2), (2, 3)], {0: 1, 1: 0, 2: 3, 3: 2})
+    alg = _with_mate(build(n, edges), mate)
     delta = alg.apply(DeleteEdge(0, 1))
     assert delta.delta == -1 and delta.flipped == []
-    assert not alg._stale and alg.parent == {2: 1}
+    assert not alg._stale and alg.parent == {2: 1, 6: 5}
     _audit_forest(alg)
     # the next insertion feeds that forest: 1-2=3-4 closes with the edge alone
     delta = alg.apply(InsertEdge(3, 4))
@@ -513,12 +541,79 @@ def test_matched_deletion_without_augmenting_path_leaves_a_complete_forest():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_constructor_leaves_a_complete_forest(seed):
+    # or a futile one, when fewer than two free vertices have edges
     rng = random.Random(1100 + seed)
     n = rng.randint(4, 20)
     alg = DynamicMatching(build(n, _random_graph(rng, n, rng.randint(n, 3 * n))))
-    assert not alg._stale
+    if _free_with_edges(alg) < 2:
+        _audit_futile(alg)
+    else:
+        assert not alg._stale
+        _audit_forest(alg)
+    _check_matching(alg)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constructor_beside_two_spare_paths_leaves_a_complete_forest(seed):
+    # the graphs of test_constructor_leaves_a_complete_forest, most of which
+    # leave a futile forest alone; each spare path keeps one free vertex
+    # with an edge, so the forest is grown and audited
+    rng = random.Random(1100 + seed)
+    n = rng.randint(4, 20)
+    n, edges, _ = _with_spare_path(n, _random_graph(rng, n, rng.randint(n, 3 * n)), {})
+    n, edges, _ = _with_spare_path(n, edges, {})
+    alg = DynamicMatching(build(n, edges))
+    assert not alg._stale and not alg._futile
     _audit_forest(alg)
     _check_matching(alg)
+
+
+def _one_free_vertex_with_edges():
+    # the constructor matches 0=1 and 3=4, and leaves 2 the only free
+    # vertex with an edge, beside the isolated 5: no augmenting path exists
+    alg = DynamicMatching(build(6, [(0, 1), (1, 2), (3, 4)]))
+    assert alg.mate == {0: 1, 1: 0, 3: 4, 4: 3}
+    _audit_futile(alg)
+    return alg
+
+
+def test_futile_forest_is_not_grown():
+    alg = _one_free_vertex_with_edges()
+    before = alg.meter.edges_touched
+    assert alg.augment_from(5) is None
+    assert alg.meter.edges_touched == before
+    _audit_futile(alg)
+    # no free vertex gains an edge, so the insertion costs nothing
+    delta = alg.apply(InsertEdge(1, 3))
+    assert delta.delta == 0 and delta.flipped == []
+    assert alg.meter.op_edges_touched == 0
+    _audit_futile(alg)
+    _check_matching(alg)
+
+
+def test_edge_at_a_free_vertex_recounts_a_futile_forest():
+    # (0,5) gives the isolated 5 an edge and opens 2-1=0-5
+    alg = _one_free_vertex_with_edges()
+    delta = alg.apply(InsertEdge(0, 5))
+    assert delta.delta == 1 and delta.flipped == [(0, 5), (1, 2)]
+    _check_matching(alg)
+    # (3,5) gives 5 an edge too, but 5-3=4 and 2-1=0 end at matched vertices
+    # with no other edge: the forest is grown, finds no path and is complete
+    alg = _one_free_vertex_with_edges()
+    delta = alg.apply(InsertEdge(3, 5))
+    assert delta.delta == 0 and delta.flipped == []
+    assert not alg._stale and not alg._futile
+    _audit_forest(alg)
+    _check_matching(alg)
+
+
+def _shifted(event, k):
+    """``event`` with every vertex id raised by ``k``."""
+    if isinstance(event, (InsertEdge, DeleteEdge)):
+        return type(event)(event.u + k, event.v + k)
+    if isinstance(event, InsertVertex):
+        return InsertVertex(tuple(w + k for w in event.neighbors))
+    return DeleteVertex(event.v + k)
 
 
 def test_kept_forest_fuzz():
@@ -526,14 +621,20 @@ def test_kept_forest_fuzz():
     # matching is maximum after every event, and whenever the forest is not
     # stale it passes the audit.  An inserted edge fed into a complete
     # forest with a free vertex is counted by what it did, so that every
-    # outcome of the edge rule stays exercised.
+    # outcome of the edge rule stays exercised.  Each stream runs beside the
+    # path 0-1-2, which leaves one free vertex with an edge in a component
+    # of its own, so a forest is futile only while the stream's own vertices
+    # leave no free vertex with an edge; the events that leave it futile
+    # are counted and audited too.
     kept, outcomes = Counter(), Counter()
+    futile = 0
     for seed in range(1000):
         n = 4 + seed % 11
         vertex_rate = 0.15 if seed % 3 == 0 else 0.0
         stream = gen_random_edges(n, 40, seed=5000 + seed, p_insert=0.6, vertex_rate=vertex_rate)
-        alg = DynamicMatching(DynGraph(n))
-        for event in stream.events:
+        # the stream's vertex x is x + 3, its new vertices included
+        alg = DynamicMatching(build(n + 3, [(0, 1), (1, 2)]))
+        for event in map(_shifted, stream.events, repeat(3)):
             fresh = not alg._stale
             matched = isinstance(event, DeleteEdge) and alg.mate.get(event.u) == event.v
             # an edge between two free vertices is matched without the forest
@@ -559,41 +660,47 @@ def test_kept_forest_fuzz():
             assert alg.cardinality == static_max_matching(alg.g.adj), (seed, event)
             if not alg._stale:
                 _audit_forest(alg)
+            elif alg._futile:
+                _audit_futile(alg)
+                futile += 1
     assert kept[DeleteEdge] >= 1000 and kept[InsertVertex] >= 50, kept
     assert kept["matched deletion"] >= 1000, kept
     assert all(outcomes[k] >= 400 for k in ("augmented", "contracted", "attached", "skipped")), outcomes
+    assert futile >= 6400, futile  # of 40,000 events
 
 
 def test_isolated_vertex_joins_a_kept_forest():
     # the forest of test_deleting_an_edge_outside_the_forest_keeps_it
-    g = build(6, [(0, 1), (2, 3), (1, 2), (0, 2)])
-    alg = _with_mate(g, {0: 1, 1: 0, 2: 3, 3: 2})
+    n, edges, mate = _with_spare_path(6, [(0, 1), (2, 3), (1, 2), (0, 2)], {0: 1, 1: 0, 2: 3, 3: 2})
+    alg = _with_mate(build(n, edges), mate)
     alg.apply(InsertEdge(4, 0))
     assert not alg._stale
     assert alg.apply(InsertVertex(())).delta == 0
     assert not alg._stale and alg.meter.op_edges_touched == 0
     _audit_forest(alg)
-    # the new vertex 6 is a root: 4-0=1-2=3-6 closes with the edge alone
-    delta = alg.apply(InsertEdge(3, 6))
+    # the new vertex 9 is a root: 4-0=1-2=3-9 closes with the edge alone
+    delta = alg.apply(InsertEdge(3, 9))
     assert delta.delta == 1 and alg.meter.op_edges_touched == 1
-    assert delta.flipped == [(0, 4), (1, 2), (3, 6)]
+    assert delta.flipped == [(0, 4), (1, 2), (3, 9)]
     _check_matching(alg)
 
 
 def test_incremental_isolated_vertex_joins_a_kept_forest():
     inc = IncrementalMatching()
-    for _ in range(4):
+    for _ in range(7):
         inc.insert_vertex()
+    inc.apply(InsertEdge(5, 6))  # the spare path 4-5=6
+    inc.apply(InsertEdge(4, 5))
     inc.apply(InsertEdge(0, 1))
-    inc.apply(InsertEdge(1, 2))  # grows the forest: 2 and 3 roots, 1 odd, 0 even
+    inc.apply(InsertEdge(1, 2))  # grows the forest: 2, 3 and 4 roots, 1 odd, 0 even
     assert not inc._stale
     inc.insert_vertex()
     assert not inc._stale
     _audit_forest(inc)
     before = inc.meter.edges_touched
-    delta = inc.apply(InsertEdge(0, 4))  # 2-1=0-4
+    delta = inc.apply(InsertEdge(0, 7))  # 2-1=0-7
     assert delta.delta == 1 and inc.meter.edges_touched - before == 1
-    assert delta.flipped == [(0, 4), (1, 2)]
+    assert delta.flipped == [(0, 7), (1, 2)]
     _check_matching(inc)
 
 
@@ -665,9 +772,10 @@ def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
     # and 3 are even.  Inserting (2,4) leaves the forest stale, and the
     # fresh one scans 2's neighbours 1, 3, 4 in that order: 1 is odd, (2,3)
     # closes the blossom 0-1=2-3=4-0 with base 0, and 4, odd until then, is
-    # now inside the blossom that holds 2
-    g = build(5, [(0, 1), (1, 2), (0, 4), (4, 3), (2, 3)])
-    alg = _with_mate(g, {1: 2, 2: 1, 3: 4, 4: 3})
+    # now inside the blossom that holds 2.  The spare path 5-6=7 keeps the
+    # forest from being futile
+    n, edges, mate = _with_spare_path(5, [(0, 1), (1, 2), (0, 4), (4, 3), (2, 3)], {1: 2, 2: 1, 3: 4, 4: 3})
+    alg = _with_mate(build(n, edges), mate)
     closing = []
 
     def contract(u, v, bu, bv):
@@ -675,7 +783,7 @@ def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
         DynamicMatching._contract(alg, u, v, bu, bv)
 
     alg._contract = contract
-    events = [InsertEdge(2, 4), InsertVertex(()), InsertEdge(4, 5)]
+    events = [InsertEdge(2, 4), InsertVertex(()), InsertEdge(4, 8)]
     deltas = []
     for event in events:
         deltas.append(alg.apply(event))
@@ -688,20 +796,23 @@ def test_scan_judges_later_neighbours_against_the_base_a_blossom_gave_it():
             # so (2,4) is skipped: only the closing edge contracts
             assert closing == [(2, 3)]
             assert all(alg._find(v) == 0 for v in range(5))
-    # the new vertex 5 is a root of the kept forest, and (4,5) augments
-    # through the blossom: 0-1=2-3=4-5 flips to 0=1-2=3-4=5
+    # the new vertex 8 is a root of the kept forest, and (4,8) augments
+    # through the blossom: 0-1=2-3=4-8 flips to 0=1-2=3-4=8
     assert [d.delta for d in deltas] == [0, 0, 1]
-    assert deltas[2].flipped == [(0, 1), (2, 3), (4, 5)]
+    assert deltas[2].flipped == [(0, 1), (2, 3), (4, 8)]
 
 
 def test_blossom_walk_climbs_both_sides_in_turn():
     # the stem 0-1=2-...-19=20 hangs x = 20 ten levels below the free root
     # 0, and the branches 20-21=22 and 20-23=24 end at even 22 and 24, so
-    # the inserted edge (22,24) closes the blossom 20-21=22-24=23-20
+    # the inserted edge (22,24) closes the blossom 20-21=22-24=23-20; the
+    # spare path 25-26=27 keeps the forest from being futile
     stem = [(i, i + 1) for i in range(20)]
-    g = build(25, stem + [(20, 21), (21, 22), (20, 23), (23, 24)])
     pairs = [(i, i + 1) for i in range(1, 25, 2)]
-    alg = _with_mate(g, {x: y for u, v in pairs for x, y in ((u, v), (v, u))})
+    n, edges, mate = _with_spare_path(
+        25, stem + [(20, 21), (21, 22), (20, 23), (23, 24)], {x: y for u, v in pairs for x, y in ((u, v), (v, u))}
+    )
+    alg = _with_mate(build(n, edges), mate)
     assert alg.augment_from(0) is None and not alg._stale
     steps = []
 

@@ -99,6 +99,10 @@ def test_rejected_event_leaves_state_unchanged(name, event):
         alg.apply(InsertEdge(0, 2))  # joins two members and evicts one
     elif isinstance(alg, ImplicitMis):
         alg.in_mis_query(0)
+    elif isinstance(alg, DynamicMatching):
+        # 2 was the only free vertex with an edge, so no forest was grown;
+        # with 3 a second one, this grows one
+        alg.apply(InsertEdge(1, 3))
     assert alg.meter.op_edges_touched > 0
     before = pickle.dumps(alg)
     with pytest.raises(DynamisError):
