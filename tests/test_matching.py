@@ -555,9 +555,9 @@ def test_constructor_leaves_a_complete_forest(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_constructor_beside_two_spare_paths_leaves_a_complete_forest(seed):
-    # the graphs of test_constructor_leaves_a_complete_forest, most of which
-    # leave a futile forest alone; each spare path keeps one free vertex
-    # with an edge, so the forest is grown and audited
+    # the graphs of test_constructor_leaves_a_complete_forest, each of which
+    # leaves a futile forest on its own; each spare path keeps one free
+    # vertex with an edge, so the forest is grown and audited
     rng = random.Random(1100 + seed)
     n = rng.randint(4, 20)
     n, edges, _ = _with_spare_path(n, _random_graph(rng, n, rng.randint(n, 3 * n)), {})
