@@ -29,6 +29,12 @@ is such a map, so growing it is a search into ``parent``.
 The tree shrinks only by regrowth, one search of at most m touches, so a
 deletion costs at most two searches and the auxiliary touch: 2m + 1.
 
+Every update returns a ``FlowDelta``: the change in the flow value and the
+path a unit moved along.  Most updates move no flow (an insertion off the
+tree's frontier, an empty edge's deletion, an isolated vertex), and every
+one that moves none returns the one shared ``QUIET_FLOW``, ``FlowDelta(0)``,
+rather than a new object; results are read-only.
+
 Within one stage (between augmentations) insertion-only tree work is linear
 in the edge count.  ``stage_touches`` records the metered work of each
 stage, as the difference of the meter's total at its two ends, and
@@ -66,6 +72,10 @@ from .stream import DeleteEdge, InsertEdge, InsertVertex, UpdateEvent
 class FlowDelta:
     dF: int
     path: list[int] | None = None
+
+
+# what every update that moves no flow returns; results are read-only
+QUIET_FLOW = FlowDelta(0)
 
 
 class FlowNetwork:
@@ -131,7 +141,7 @@ class FlowNetwork:
             self.add_vertex()
             meter.updates += 1
             meter.end_op(touched, adjusted)
-            return FlowDelta(0)
+            return QUIET_FLOW
         raise IncompatibleStreamError(
             f"{type(self).__name__} takes edge updates and isolated vertices only, not {event!r}"
         )
@@ -157,8 +167,7 @@ class FlowNetwork:
         self.flow[(u, v)] = 0
         out_u.add(v)
         meter.updates += 1
-        meter.touch(1)
-        delta = FlowDelta(0)
+        meter.edges_touched += 1
         parent, s, t = self.parent, self.s, self.t
         if u in parent and v not in parent:
             parent[v] = u
@@ -167,12 +176,13 @@ class FlowNetwork:
                 path = self._path(parent, s, t)
                 self._push(path)
                 self.F += 1
-                delta = FlowDelta(1, path)
                 self.stage_touches.append(meter.edges_touched - self._stage_start)
                 self._stage_start = meter.edges_touched
                 self._regrow()
+                meter.end_op(touched, adjusted)
+                return FlowDelta(1, path)
         meter.end_op(touched, adjusted)
-        return delta
+        return QUIET_FLOW
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
         if (u, v) not in self.flow:
@@ -187,7 +197,7 @@ class FlowNetwork:
             if self.parent.get(v) == u and v not in self.res_out[u]:
                 self._regrow()
             meter.end_op(touched, adjusted)
-            return FlowDelta(0)
+            return QUIET_FLOW
         self._drop_arc(v, u)
         prev = {u: u}
         self._label(prev, u, v)

@@ -61,6 +61,11 @@ endpoints have different bases.  Deleting any other edge leaves a complete
 forest complete, its roots still the free vertices, and an isolated new
 vertex joins it as a free one-vertex tree.
 
+``apply`` returns a ``MatchDelta``: the change in cardinality and the pairs
+the update made.  An update that neither changes the cardinality nor flips
+a pair returns the one shared ``QUIET_MATCH``, ``MatchDelta(0, [])``, rather
+than a new object; results are read-only.
+
 The forest meters every adjacency scan it makes.  A stage is the span of
 updates that ends when the matching grows; ``stage_touches`` records the
 metered work of each one, as the difference of the meter's total at its two
@@ -89,6 +94,11 @@ ODD = 1
 class MatchDelta:
     delta: int
     flipped: list[tuple[int, int]] = field(default_factory=list)
+
+
+# what every update that neither changes the cardinality nor flips a pair
+# returns; results are read-only
+QUIET_MATCH = MatchDelta(0, [])
 
 
 class DynamicMatching:
@@ -181,12 +191,14 @@ class DynamicMatching:
                 del self.mate[y]
                 flipped = self.augment_from(y) or []
         meter.updates += 1
-        delta = MatchDelta(self.cardinality - before, flipped)
-        if delta.delta > 0:
+        delta = self.cardinality - before
+        if delta > 0:
             self.stage_touches.append(meter.edges_touched - self._stage_start)
             self._stage_start = meter.edges_touched
         meter.end_op(touched, adjusted)
-        return delta
+        if delta or flipped:
+            return MatchDelta(delta, flipped)
+        return QUIET_MATCH
 
     def _absorb_edge(self, u: int, v: int) -> list[tuple[int, int]]:
         """Restore maximality after inserting edge (u,v); returns the new pairs."""

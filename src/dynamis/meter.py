@@ -57,22 +57,25 @@ class CostMeter:
         }
 
 
+Changes = list[tuple[str, int]]
+
+
 @dataclass(slots=True)
 class AdjustmentLog:
     """Vertices that left and entered the maintained set, in processing order.
 
-    ``changes`` holds ("leave", v) / ("enter", v) pairs; at most one leave per
-    update.  ``edges_touched`` is the meter charge for this one operation.
+    ``changes`` holds ("leave", v) / ("enter", v) pairs.  mis-simple, mis-inc
+    and mis-implicit log at most one leave per update; mis-2level can log
+    many, when a migration or its heavy MIS rebuild moves several vertices.
+    ``edges_touched`` is the meter charge for this one operation.
+
+    An update that changes nothing and touches nothing returns the shared
+    ``QUIET_LOG`` instead of a new log, so results are read-only: a caller
+    that wants to keep or edit one copies it.
     """
 
-    changes: list[tuple[str, int]] = field(default_factory=list)
+    changes: Changes = field(default_factory=list)
     edges_touched: int = 0
-
-    def leave(self, v: int) -> None:
-        self.changes.append(("leave", v))
-
-    def enter(self, v: int) -> None:
-        self.changes.append(("enter", v))
 
     @property
     def removed(self) -> list[int]:
@@ -81,3 +84,6 @@ class AdjustmentLog:
     @property
     def added(self) -> list[int]:
         return [v for op, v in self.changes if op == "enter"]
+
+
+QUIET_LOG = AdjustmentLog([], 0)

@@ -1,13 +1,16 @@
 """The update loop, the query operation and the count maintainer the MIS algorithms share.
 
 ``UpdateLoop.apply`` rejects queries, hands each update to the class's four
-handlers, counts it, and then calls the class's ``_settle(log)`` for the
+handlers, counts it, and then calls the class's ``_settle(changes)`` for the
 work an update leaves behind (mis-2level's heavy MIS and phase check,
-mis-implicit's candidate step and epoch check).  The loop reads the meter's
-totals before it dispatches and closes the operation after ``_settle``, so
-the update is charged its handler's work and its settling; a handler that
-rejects the event raises before it writes anything, and the meter is left
-as it was.  ``UpdateLoop._query_op`` is the In-MIS query, one operation in
+mis-implicit's candidate step and epoch check).  The handlers append
+("leave", v) and ("enter", v) to the plain list ``changes``, and ``apply``
+wraps it in an ``AdjustmentLog`` once at the end, or returns the shared
+``QUIET_LOG`` when the update changed nothing and touched nothing.  The
+loop reads the meter's totals before it dispatches and closes the operation
+after ``_settle``, so the update is charged its handler's work and its
+settling; a handler that rejects the event raises before it writes
+anything, and the meter is left as it was.  ``UpdateLoop._query_op`` is the In-MIS query, one operation in
 the same way: it checks the vertex, counts the query, asks the class's
 ``_query(v)`` and closes the operation.
 
@@ -47,7 +50,7 @@ from typing import AbstractSet, Iterable
 
 from ..errors import IncompatibleStreamError
 from ..graph import DynGraph
-from ..meter import AdjustmentLog, CostMeter
+from ..meter import QUIET_LOG, AdjustmentLog, Changes, CostMeter
 from ..stream import DeleteEdge, InsertEdge, InsertVertex, QueryInMis, UpdateEvent
 
 
@@ -70,24 +73,26 @@ class UpdateLoop:
     def apply(self, event: UpdateEvent) -> AdjustmentLog:
         if isinstance(event, QueryInMis):
             raise IncompatibleStreamError("queries are not updates; ask the algorithm's membership query")
-        log = AdjustmentLog()
+        changes: Changes = []
         meter = self.meter
         touched, adjusted = meter.edges_touched, meter.adjustments
         if isinstance(event, InsertEdge):
-            self._insert_edge(event.u, event.v, log)
+            self._insert_edge(event.u, event.v, changes)
         elif isinstance(event, DeleteEdge):
-            self._delete_edge(event.u, event.v, log)
+            self._delete_edge(event.u, event.v, changes)
         elif isinstance(event, InsertVertex):
-            self._insert_vertex(event.neighbors, log)
+            self._insert_vertex(event.neighbors, changes)
         else:
-            self._delete_vertex(event.v, log)
+            self._delete_vertex(event.v, changes)
         meter.updates += 1
-        self._settle(log)
+        self._settle(changes)
         meter.end_op(touched, adjusted)
-        log.edges_touched = meter.op_edges_touched
-        return log
+        op_touched = meter.op_edges_touched
+        if changes or op_touched:
+            return AdjustmentLog(changes, op_touched)
+        return QUIET_LOG
 
-    def _settle(self, log: AdjustmentLog) -> None:
+    def _settle(self, changes: Changes) -> None:
         """Work that follows every update; none by default."""
 
     def _query_op(self, v: int) -> bool:
@@ -115,7 +120,7 @@ class CountMaintainer(UpdateLoop):
 
     # -- event handlers --------------------------------------------------
 
-    def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+    def _insert_edge(self, u: int, v: int, changes: Changes) -> None:
         self.g.insert_edge(u, v)
         adj, in_M, count, delta_c = self.g.adj, self.in_M, self.count, self.delta_c
         if u in in_M:
@@ -123,13 +128,13 @@ class CountMaintainer(UpdateLoop):
         if v in in_M:
             count[u] += 1
         if len(adj[u]) >= delta_c and u not in self.heavy:
-            self._migrate_to_heavy(u, log)
+            self._migrate_to_heavy(u, changes)
         if len(adj[v]) >= delta_c and v not in self.heavy:
-            self._migrate_to_heavy(v, log)
+            self._migrate_to_heavy(v, changes)
         if u in in_M and v in in_M:
-            self._admit_zeros(self._leave(self._pick_victim(u, v), log), log)
+            self._admit_zeros(self._leave(self._pick_victim(u, v), changes), changes)
 
-    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+    def _delete_edge(self, u: int, v: int, changes: Changes) -> None:
         self.g.delete_edge(u, v)
         in_M, count, heavy = self.in_M, self.count, self.heavy
         # u and v were adjacent, so at most one of them is a member; only the
@@ -141,53 +146,53 @@ class CountMaintainer(UpdateLoop):
             adj, delta_c = self.g.adj, self.delta_c
             for y in (u, v):
                 if y in heavy and len(adj[y]) < delta_c:
-                    self._migrate_to_light(y, log)
+                    self._migrate_to_light(y, changes)
         if x is not None and count[x] == 0 and x not in in_M and x not in heavy:
-            self._enter(x, log)
+            self._enter(x, changes)
 
-    def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
+    def _insert_vertex(self, neighbors: tuple[int, ...], changes: Changes) -> None:
         v = self._insert_counted(neighbors)
         adj, heavy, delta_c = self.g.adj, self.heavy, self.delta_c
         if len(neighbors) >= delta_c:
             heavy.add(v)
         for w in neighbors:
             if w not in heavy and len(adj[w]) >= delta_c:
-                self._migrate_to_heavy(w, log)
+                self._migrate_to_heavy(w, changes)
         # a neighbour's migration may have admitted v already
         if self.count[v] == 0 and v not in self.in_M and v not in heavy:
-            self._enter(v, log)
+            self._enter(v, changes)
 
-    def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
-        nbrs, freed = self._delete_counted(v, log)
+    def _delete_vertex(self, v: int, changes: Changes) -> None:
+        nbrs, freed = self._delete_counted(v, changes)
         heavy = self.heavy
         if heavy:
             heavy.discard(v)
             if v in self.heavy_mis:
                 self.heavy_mis.discard(v)
                 self.meter.adjust()
-                log.leave(v)
+                changes.append(("leave", v))
             adj, delta_c = self.g.adj, self.delta_c
             for w in sorted(nbrs):
                 if w in heavy and len(adj[w]) < delta_c:
-                    self._migrate_to_light(w, log)
+                    self._migrate_to_light(w, changes)
         # only the neighbours v's leave freed can be at count zero
-        self._admit_zeros(freed, log)
+        self._admit_zeros(freed, changes)
 
     # -- internals -------------------------------------------------------
 
     def _pick_victim(self, u: int, v: int) -> int:
         return u
 
-    def _migrate_to_heavy(self, v: int, log: AdjustmentLog) -> None:
+    def _migrate_to_heavy(self, v: int, changes: Changes) -> None:
         self.heavy.add(v)
         if v in self.in_M:
-            self._admit_zeros(self._leave(v, log), log)
+            self._admit_zeros(self._leave(v, changes), changes)
 
-    def _migrate_to_light(self, v: int, log: AdjustmentLog) -> None:
+    def _migrate_to_light(self, v: int, changes: Changes) -> None:
         self.heavy.discard(v)
         self.heavy_mis.discard(v)
         if self.count[v] == 0:
-            self._enter(v, log)
+            self._enter(v, changes)
 
     def _greedy(self, vertices: Iterable[int]) -> None:
         """Adds each of ``vertices`` at count zero, in the given order; no adjustment is counted."""
@@ -222,7 +227,7 @@ class CountMaintainer(UpdateLoop):
         self.meter.touch(len(neighbors))
         return v
 
-    def _delete_counted(self, v: int, log: AdjustmentLog) -> tuple[set[int], list[int]]:
+    def _delete_counted(self, v: int, changes: Changes) -> tuple[set[int], list[int]]:
         """Deletes ``v``, first out of ``in_M``.
 
         Returns its former neighbours and those its leave freed (none if it
@@ -233,7 +238,7 @@ class CountMaintainer(UpdateLoop):
         # the walk over v's neighbours costs deg v once, charged by the leave
         # when v is a member
         if v in self.in_M:
-            freed = self._leave(v, log)
+            freed = self._leave(v, changes)
         else:
             freed = []
             self.meter.touch(len(nbrs))
@@ -241,11 +246,11 @@ class CountMaintainer(UpdateLoop):
         self.count[v] = 0
         return nbrs, freed
 
-    def _leave(self, v: int, log: AdjustmentLog) -> list[int]:
+    def _leave(self, v: int, changes: Changes) -> list[int]:
         """Takes ``v`` out of ``in_M``; returns the neighbours whose count fell to zero."""
         self.in_M.discard(v)
         self.meter.adjust()
-        log.leave(v)
+        changes.append(("leave", v))
         nbrs, count = self.g.adj[v], self.count
         freed = []
         for w in nbrs:
@@ -255,16 +260,16 @@ class CountMaintainer(UpdateLoop):
         self.meter.touch(len(nbrs))
         return freed
 
-    def _enter(self, v: int, log: AdjustmentLog) -> None:
+    def _enter(self, v: int, changes: Changes) -> None:
         self.in_M.add(v)
         self.meter.adjust()
-        log.enter(v)
+        changes.append(("enter", v))
         nbrs, count = self.g.adj[v], self.count
         for w in nbrs:
             count[w] += 1
         self.meter.touch(len(nbrs))
 
-    def _admit_zeros(self, freed: Iterable[int], log: AdjustmentLog) -> None:
+    def _admit_zeros(self, freed: Iterable[int], changes: Changes) -> None:
         # ``freed`` holds the live neighbours a leave brought to count zero;
         # counts only rise after it, so no other vertex can be at zero.  Each
         # is re-checked in id order, since an earlier entry or a migration
@@ -272,4 +277,4 @@ class CountMaintainer(UpdateLoop):
         count, in_M, heavy = self.count, self.in_M, self.heavy
         for w in sorted(freed):
             if count[w] == 0 and w not in in_M and w not in heavy:
-                self._enter(w, log)
+                self._enter(w, changes)

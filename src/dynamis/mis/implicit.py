@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from ..errors import VertexUpdateUnsupportedError
 from ..graph import DynGraph
-from ..meter import AdjustmentLog, CostMeter
+from ..meter import Changes, CostMeter
 from .base import UpdateLoop, ceil_root
 
 
@@ -92,7 +92,7 @@ class ImplicitMis(UpdateLoop):
 
     # -- event handlers --------------------------------------------------
 
-    def _insert_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+    def _insert_edge(self, u: int, v: int, changes: Changes) -> None:
         self.g.insert_edge(u, v)
         # count the edge before promoting: a promotion counts it already
         if u in self.in_S and v in self.tracked:
@@ -104,9 +104,9 @@ class ImplicitMis(UpdateLoop):
         self._reclassify(u)
         self._reclassify(v)
         if u in self.in_S and v in self.in_S:
-            self._leave_S(max(u, v), log)
+            self._leave_S(max(u, v), changes)
 
-    def _delete_edge(self, u: int, v: int, log: AdjustmentLog) -> None:
+    def _delete_edge(self, u: int, v: int, changes: Changes) -> None:
         self.g.delete_edge(u, v)
         if u in self.in_S and v in self.tracked:
             self.hcount[v] -= 1
@@ -117,17 +117,17 @@ class ImplicitMis(UpdateLoop):
         self._reclassify(u)
         self._reclassify(v)
 
-    def _insert_vertex(self, neighbors: tuple[int, ...], log: AdjustmentLog) -> None:
+    def _insert_vertex(self, neighbors: tuple[int, ...], changes: Changes) -> None:
         if neighbors:
             raise VertexUpdateUnsupportedError("vertex insertion with incident edges")
         self.g.insert_vertex(())
 
-    def _delete_vertex(self, v: int, log: AdjustmentLog) -> None:
+    def _delete_vertex(self, v: int, changes: Changes) -> None:
         self.g._require(v)
         if v in self.in_S:
-            self._leave_S(v, log)
+            self._leave_S(v, changes)
         for w in sorted(self.g.adj[v]):
-            self._delete_edge(v, w, log)
+            self._delete_edge(v, w, changes)
         self.g.delete_vertex(v)
 
     def _query(self, v: int) -> bool:
@@ -155,10 +155,10 @@ class ImplicitMis(UpdateLoop):
             hcount[x] += 1
         self.meter.touch(min(len(nbrs), len(self.tracked)))
 
-    def _leave_S(self, v: int, log: AdjustmentLog) -> None:
+    def _leave_S(self, v: int, changes: Changes) -> None:
         self.in_S.discard(v)
         self.meter.adjust()
-        log.leave(v)
+        changes.append(("leave", v))
         nbrs, hcount = self.g.adj[v], self.hcount
         for x in nbrs & self.tracked:
             hcount[x] -= 1
@@ -192,7 +192,7 @@ class ImplicitMis(UpdateLoop):
         for v in self.g.vertices():
             self._reclassify(v)
 
-    def _settle(self, log: AdjustmentLog) -> None:
+    def _settle(self, changes: Changes) -> None:
         candidates = self.candidates
         if candidates:
             self._promote(min(candidates))

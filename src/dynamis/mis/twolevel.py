@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import compress, filterfalse
 
 from ..graph import DynGraph
-from ..meter import AdjustmentLog, CostMeter
+from ..meter import Changes, CostMeter
 from .base import CountMaintainer, UpdateLoop, ceil_root
 
 
@@ -98,33 +98,33 @@ class TwoLevelMis(CountMaintainer):
         self.meter.touch(2 * self.g.m)
         self.heavy_mis = self._rebuild_heavy_mis()
 
-    def _settle(self, log: AdjustmentLog) -> None:
+    def _settle(self, changes: Changes) -> None:
         if self.heavy or self.heavy_mis:
             chosen = self._rebuild_heavy_mis()
             if chosen != self.heavy_mis:
-                self._log_change(log, self.heavy_mis, chosen)
+                self._log_change(changes, self.heavy_mis, chosen)
                 self.heavy_mis = chosen
         else:
             # the greedy would touch nothing and choose nothing
             self.last_heavy_rebuild_touches = 0
         m = self.g.m
         if m <= self.m_c // 2 or m >= 2 * self.m_c:
-            self._phase_rebuild(log)
+            self._phase_rebuild(changes)
 
-    def _phase_rebuild(self, log: AdjustmentLog) -> None:
+    def _phase_rebuild(self, changes: Changes) -> None:
         # isolated vertices are in the MIS before and after, so compare the rest
         active = self._non_isolated()
         before = self.in_M.intersection(active) | self.heavy_mis
         self._init_phase(active)
         self.phase_rebuilds += 1
         after = self.in_M.intersection(active) | self.heavy_mis
-        self._log_change(log, before, after)
+        self._log_change(changes, before, after)
 
-    def _log_change(self, log: AdjustmentLog, before: set[int], after: set[int]) -> None:
+    def _log_change(self, changes: Changes, before: set[int], after: set[int]) -> None:
         for v in sorted(before - after):
-            log.leave(v)
+            changes.append(("leave", v))
         for v in sorted(after - before):
-            log.enter(v)
+            changes.append(("enter", v))
         self.meter.adjust(len(before ^ after))
 
     # -- heavy MIS -------------------------------------------------------

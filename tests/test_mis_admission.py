@@ -19,27 +19,27 @@ from dynamis.mis.base import CountMaintainer, ceil_root
 from dynamis.stream import QueryInMis
 
 
-def _leave_handing_over_every_neighbour(self, v, log):
-    CountMaintainer._leave(self, v, log)
+def _leave_handing_over_every_neighbour(self, v, changes):
+    CountMaintainer._leave(self, v, changes)
     return self.g.adj[v]
 
 
 class ReferenceSimpleMis(SimpleMis):
     _leave = _leave_handing_over_every_neighbour
 
-    def _delete_edge(self, u, v, log):
+    def _delete_edge(self, u, v, changes):
         self.g.delete_edge(u, v)
         if u in self.in_M and v not in self.in_M:
             self.count[v] -= 1
-            self._admit_zeros((v,), log)
+            self._admit_zeros((v,), changes)
         elif v in self.in_M and u not in self.in_M:
             self.count[u] -= 1
-            self._admit_zeros((u,), log)
+            self._admit_zeros((u,), changes)
 
-    def _admit_zeros(self, candidates, log):
+    def _admit_zeros(self, candidates, changes):
         for w in sorted(candidates):
             if self.g.is_live(w) and w not in self.in_M and self.count[w] == 0:
-                self._enter(w, log)
+                self._enter(w, changes)
 
 
 class ReferenceIncrementalMis(IncrementalMis):
@@ -66,18 +66,18 @@ class ReferenceTwoLevelMis(TwoLevelMis):
         self.meter.touch(sum(len(g.adj[v]) for v in g.vertices()))
         self.heavy_mis = self._rebuild_heavy_mis()
 
-    def _phase_rebuild(self, log):
+    def _phase_rebuild(self, changes):
         before = self.mis()
         self._init_phase()
         self.phase_rebuilds += 1
         after = self.mis()
         for v in sorted(before - after):
-            log.leave(v)
+            changes.append(("leave", v))
         for v in sorted(after - before):
-            log.enter(v)
+            changes.append(("enter", v))
         self.meter.adjust(len(before ^ after))
 
-    def _delete_edge(self, u, v, log):
+    def _delete_edge(self, u, v, changes):
         self.g.delete_edge(u, v)
         if u in self.in_M:
             self.count[v] -= 1
@@ -85,10 +85,10 @@ class ReferenceTwoLevelMis(TwoLevelMis):
             self.count[u] -= 1
         for x in (u, v):
             if x in self.heavy and len(self.g.adj[x]) < self.delta_c:
-                self._migrate_to_light(x, log)
-        self._admit_zeros((u, v), log)
+                self._migrate_to_light(x, changes)
+        self._admit_zeros((u, v), changes)
 
-    def _insert_vertex(self, neighbors, log):
+    def _insert_vertex(self, neighbors, changes):
         v = self.g.insert_vertex(neighbors)
         self.count[v] = sum(1 for w in neighbors if w in self.in_M)
         self.meter.touch(len(neighbors))
@@ -96,10 +96,10 @@ class ReferenceTwoLevelMis(TwoLevelMis):
             self.heavy.add(v)
         for w in neighbors:
             if w not in self.heavy and len(self.g.adj[w]) >= self.delta_c:
-                self._migrate_to_heavy(w, log)
-        self._admit_zeros((v,), log)
+                self._migrate_to_heavy(w, changes)
+        self._admit_zeros((v,), changes)
 
-    def _admit_zeros(self, candidates, log):
+    def _admit_zeros(self, candidates, changes):
         for w in sorted(candidates):
             if (
                 self.g.is_live(w)
@@ -107,7 +107,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
                 and w not in self.in_M
                 and self.count[w] == 0
             ):
-                self._enter(w, log)
+                self._enter(w, changes)
 
 
 PAIRS = {
