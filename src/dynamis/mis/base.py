@@ -190,9 +190,12 @@ class CountMaintainer(UpdateLoop):
 
     def _migrate_to_light(self, v: int, changes: Changes) -> None:
         self.heavy.discard(v)
+        in_mis = v in self.heavy_mis
         self.heavy_mis.discard(v)
         if self.count[v] == 0:
-            self._enter(v, changes)
+            # a member of the heavy MIS moves to the light one and stays in
+            # mis(): its neighbours' counts rise, but nothing enters
+            self._enter(v, None if in_mis else changes)
 
     def _greedy(self, vertices: Iterable[int]) -> None:
         """Adds each of ``vertices`` at count zero, in the given order; no adjustment is counted."""
@@ -260,10 +263,12 @@ class CountMaintainer(UpdateLoop):
         self.meter.touch(len(nbrs))
         return freed
 
-    def _enter(self, v: int, changes: Changes) -> None:
+    def _enter(self, v: int, changes: Changes | None) -> None:
+        """Adds ``v`` to ``in_M``; with ``changes`` None, v is in mis() already and no entry is logged or counted."""
         self.in_M.add(v)
-        self.meter.adjust()
-        changes.append(("enter", v))
+        if changes is not None:
+            self.meter.adjust()
+            changes.append(("enter", v))
         nbrs, count = self.g.adj[v], self.count
         for w in nbrs:
             count[w] += 1

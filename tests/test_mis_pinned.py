@@ -90,7 +90,7 @@ PINNED = {
     ("mis-inc", "arbitrary-removal"): "538a550264362e62",
     ("mis-inc", "degree-biased"): "ef719d3889188389",
     ("mis-2level", "random-edges/40"): "6dcbc7b3ff5fce88",
-    ("mis-2level", "random-edges/30"): "32b4baa7831dff39",
+    ("mis-2level", "random-edges/30"): "eb977fe0c14e0061",
     ("mis-2level", "arbitrary-removal"): "ece9531a5ef20001",
     ("mis-2level", "degree-biased"): "c11d0c943fdcea03",
     ("mis-implicit", "random-edges/40"): "fb9888167e3b9a20",
