@@ -185,7 +185,15 @@ class FlowNetwork:
         return QUIET_FLOW
 
     def delete_edge(self, u: int, v: int) -> FlowDelta:
+        """Delete the edge (u,v), rerouting its unit if it carries one.
+
+        An unknown tail, an unknown head and a missing edge are rejected in
+        that order, before anything changes; the endpoints are checked only
+        after the edge lookup misses.
+        """
         if (u, v) not in self.flow:
+            self._require(u)
+            self._require(v)
             raise MissingEdgeError(f"edge ({u},{v}) not present")
         meter = self.meter
         touched, adjusted = meter.edges_touched, meter.adjustments

@@ -166,3 +166,28 @@ def test_flow_insertion_rejects_in_order(cls, args, error, message):
         net.insert_edge(*args)
     assert type(info.value) is error and str(info.value) == message
     assert pickle.dumps(net) == before
+
+
+FLOW_DELETE_REJECTED = (
+    ((7, 1), UnknownVertexError, "vertex 7 is not live"),
+    ((1, 7), UnknownVertexError, "vertex 7 is not live"),
+    ((9, 7), UnknownVertexError, "vertex 9 is not live"),
+    ((1, 1), MissingEdgeError, "edge (1,1) not present"),
+    ((0, 2), MissingEdgeError, "edge (0,2) not present"),
+    ((2, 1), MissingEdgeError, "edge (2,1) not present"),
+)
+
+
+@pytest.mark.parametrize("args,error,message", FLOW_DELETE_REJECTED)
+@pytest.mark.parametrize("cls", [FlowNetwork, IncrementalFlow])
+def test_flow_deletion_rejects_in_order(cls, args, error, message):
+    net = cls(4, 0, 3)
+    net.insert_edge(0, 1)
+    net.insert_edge(1, 0)
+    before = pickle.dumps(net)
+    if cls is IncrementalFlow:
+        error, message = NotIncrementalError, "incremental flow rejects deletions"
+    with pytest.raises(error) as info:
+        net.delete_edge(*args)
+    assert type(info.value) is error and str(info.value) == message
+    assert pickle.dumps(net) == before
