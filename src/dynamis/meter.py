@@ -15,7 +15,7 @@ operation: it raises the totals only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
@@ -66,16 +66,17 @@ class AdjustmentLog:
 
     ``changes`` holds ("leave", v) / ("enter", v) pairs.  mis-simple, mis-inc
     and mis-implicit log at most one leave per update; mis-2level can log
-    many, when a migration or its heavy MIS rebuild moves several vertices.
-    ``edges_touched`` is the meter charge for this one operation.
+    many, since its heavy MIS rebuild and its phase rebuilds move several
+    vertices at once.  ``edges_touched`` is the meter charge for this one
+    operation.
 
     An update that changes nothing and touches nothing returns the shared
     ``QUIET_LOG`` instead of a new log, so results are read-only: a caller
-    that wants to keep or edit one copies it.
+    that wants to edit one copies it first.
     """
 
-    changes: Changes = field(default_factory=list)
-    edges_touched: int = 0
+    changes: Changes
+    edges_touched: int
 
     @property
     def removed(self) -> list[int]:

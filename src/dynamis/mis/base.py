@@ -10,9 +10,9 @@ wraps it in an ``AdjustmentLog`` once at the end, or returns the shared
 loop reads the meter's totals before it dispatches and closes the operation
 after ``_settle``, so the update is charged its handler's work and its
 settling; a handler that rejects the event raises before it writes
-anything, and the meter is left as it was.  ``UpdateLoop._query_op`` is the In-MIS query, one operation in
-the same way: it checks the vertex, counts the query, asks the class's
-``_query(v)`` and closes the operation.
+anything, and the meter is left as it was.  ``UpdateLoop._query_op`` is the
+In-MIS query, one operation in the same way: it checks the vertex, counts
+the query, asks the class's ``_query(v)`` and closes the operation.
 
 ``CountMaintainer`` is the count-based maintainer of the paper, written once
 for mis-simple, mis-inc and mis-2level.  It keeps a light level and a heavy
@@ -193,8 +193,7 @@ class CountMaintainer(UpdateLoop):
         in_mis = v in self.heavy_mis
         self.heavy_mis.discard(v)
         if self.count[v] == 0:
-            # a member of the heavy MIS moves to the light one and stays in
-            # mis(): its neighbours' counts rise, but nothing enters
+            # a member of the heavy MIS moves to the light one and stays in mis()
             self._enter(v, None if in_mis else changes)
 
     def _greedy(self, vertices: Iterable[int]) -> None:
@@ -264,7 +263,11 @@ class CountMaintainer(UpdateLoop):
         return freed
 
     def _enter(self, v: int, changes: Changes | None) -> None:
-        """Adds ``v`` to ``in_M``; with ``changes`` None, v is in mis() already and no entry is logged or counted."""
+        """Adds ``v`` to ``in_M`` and logs its entry in ``changes``.
+
+        With ``changes`` None, v was in mis() already: its neighbours' counts
+        rise, but no entry is logged or counted.
+        """
         self.in_M.add(v)
         if changes is not None:
             self.meter.adjust()

@@ -5,14 +5,17 @@ from the maintained set just before the update (``mis()``, or
 ``independent_set()`` for mis-implicit), each leave must name a member and
 each enter a non-member, and the set the log leaves must be the one the
 algorithm maintains after the update.  Queries run between updates, so
-mis-implicit's query admissions are read into the next update's start.
+mis-implicit's query admissions are read into the next update's start.  As
+in the pinned replays, mis-implicit gets each vertex inserted with
+neighbours as an isolated insertion followed by its edges.
 """
 
 import pytest
 
 from dynamis import DynGraph, ImplicitMis, IncrementalMis, SimpleMis, TwoLevelMis
 from dynamis.generators import gen_random_edges
-from dynamis.stream import InsertEdge, InsertVertex, QueryInMis
+from dynamis.stream import QueryInMis
+from test_mis_pinned import _events
 
 CLASSES = {
     "mis-simple": (SimpleMis, SimpleMis.mis, SimpleMis.contains),
@@ -26,18 +29,6 @@ def _stream(algorithm, seed):
     if algorithm == "mis-inc":
         return gen_random_edges(30, 600, seed=seed, p_insert=1.0, query_rate=0.05)
     return gen_random_edges(30, 600, seed=seed, p_insert=0.6, query_rate=0.05, vertex_rate=0.1)
-
-
-def _events(alg, stream):
-    """The stream, with mis-implicit's vertex insertions split into an isolated one and its edges."""
-    for event in stream.events:
-        if isinstance(alg, ImplicitMis) and isinstance(event, InsertVertex) and event.neighbors:
-            v = alg.g.id_bound
-            yield InsertVertex(())
-            for w in event.neighbors:
-                yield InsertEdge(v, w)
-        else:
-            yield event
 
 
 def _replay(members, changes):
