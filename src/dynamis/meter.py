@@ -67,16 +67,16 @@ class AdjustmentLog:
     ``changes`` holds ("leave", v) / ("enter", v) pairs.  mis-simple, mis-inc
     and mis-implicit log at most one leave per update; mis-2level can log
     many, since its heavy MIS rebuild and its phase rebuilds move several
-    vertices at once.  ``edges_touched`` is the meter charge for this one
-    operation.
+    vertices at once.  The log is the update's record of what changed: the
+    meter counts one adjustment per entry, and what the update cost is the
+    meter's ``op_edges_touched``.
 
-    An update that changes nothing and touches nothing returns the shared
-    ``QUIET_LOG`` instead of a new log, so results are read-only: a caller
-    that wants to edit one copies it first.
+    An update that changes nothing returns the shared ``QUIET_LOG`` instead
+    of a new log, so results are read-only: a caller that wants to edit one
+    copies it first.
     """
 
     changes: Changes
-    edges_touched: int
 
     @property
     def removed(self) -> list[int]:
@@ -87,4 +87,4 @@ class AdjustmentLog:
         return [v for op, v in self.changes if op == "enter"]
 
 
-QUIET_LOG = AdjustmentLog([], 0)
+QUIET_LOG = AdjustmentLog([])

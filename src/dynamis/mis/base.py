@@ -4,15 +4,18 @@
 handlers, counts it, and then calls the class's ``_settle(changes)`` for the
 work an update leaves behind (mis-2level's heavy MIS and phase check,
 mis-implicit's candidate step and epoch check).  The handlers append
-("leave", v) and ("enter", v) to the plain list ``changes``, and ``apply``
-wraps it in an ``AdjustmentLog`` once at the end, or returns the shared
-``QUIET_LOG`` when the update changed nothing and touched nothing.  The
-loop reads the meter's totals before it dispatches and closes the operation
-after ``_settle``, so the update is charged its handler's work and its
-settling; a handler that rejects the event raises before it writes
-anything, and the meter is left as it was.  ``UpdateLoop._query_op`` is the
-In-MIS query, one operation in the same way: it checks the vertex, counts
-the query, asks the class's ``_query(v)`` and closes the operation.
+("leave", v) and ("enter", v) to the plain list ``changes``, which is the
+one record of what the update changed: ``apply`` counts one adjustment per
+entry, then wraps the list in an ``AdjustmentLog``, or returns the shared
+``QUIET_LOG`` when the update changed nothing.  What the update cost is the
+meter's alone: the loop reads the meter's totals before it dispatches and
+closes the operation after ``_settle``, so ``op_edges_touched`` is the
+handler's work plus its settling.  A handler that rejects the event raises
+before it writes anything, and the meter is left as it was.
+``UpdateLoop._query_op`` is the In-MIS query, one operation in the same way:
+it checks the vertex, counts the query, asks the class's ``_query(v)`` and
+closes the operation; mis-implicit's query admission changes the set
+without a log, so it counts its own adjustment.
 
 ``CountMaintainer`` is the count-based maintainer of the paper, written once
 for mis-simple, mis-inc and mis-2level.  It keeps a light level and a heavy
@@ -86,11 +89,9 @@ class UpdateLoop:
             self._delete_vertex(event.v, changes)
         meter.updates += 1
         self._settle(changes)
+        meter.adjustments += len(changes)
         meter.end_op(touched, adjusted)
-        op_touched = meter.op_edges_touched
-        if changes or op_touched:
-            return AdjustmentLog(changes, op_touched)
-        return QUIET_LOG
+        return AdjustmentLog(changes) if changes else QUIET_LOG
 
     def _settle(self, changes: Changes) -> None:
         """Work that follows every update; none by default."""
@@ -151,27 +152,38 @@ class CountMaintainer(UpdateLoop):
             self._enter(x, changes)
 
     def _insert_vertex(self, neighbors: tuple[int, ...], changes: Changes) -> None:
-        v = self._insert_counted(neighbors)
-        adj, heavy, delta_c = self.g.adj, self.heavy, self.delta_c
+        v = self.g.insert_vertex(neighbors)
+        adj, in_M, heavy, delta_c = self.g.adj, self.in_M, self.heavy, self.delta_c
+        self.count.append(sum(1 for w in neighbors if w in in_M))
+        self.meter.touch(len(neighbors))
         if len(neighbors) >= delta_c:
             heavy.add(v)
         for w in neighbors:
             if w not in heavy and len(adj[w]) >= delta_c:
                 self._migrate_to_heavy(w, changes)
         # a neighbour's migration may have admitted v already
-        if self.count[v] == 0 and v not in self.in_M and v not in heavy:
+        if self.count[v] == 0 and v not in in_M and v not in heavy:
             self._enter(v, changes)
 
     def _delete_vertex(self, v: int, changes: Changes) -> None:
-        nbrs, freed = self._delete_counted(v, changes)
+        g = self.g
+        g._require(v)
+        nbrs = g.adj[v]  # the set outlives v's deletion from the graph
+        # the walk over v's neighbours costs deg v once, charged by the leave
+        # when v is a member
+        if v in self.in_M:
+            freed = self._leave(v, changes)
+        else:
+            freed = []
+            self.meter.touch(len(nbrs))
+        g.delete_vertex(v)
+        self.count[v] = 0
         heavy = self.heavy
         if heavy:
+            # no longer heavy, v drops out of the heavy MIS rebuild that
+            # follows, which logs its leave
             heavy.discard(v)
-            if v in self.heavy_mis:
-                self.heavy_mis.discard(v)
-                self.meter.adjust()
-                changes.append(("leave", v))
-            adj, delta_c = self.g.adj, self.delta_c
+            adj, delta_c = g.adj, self.delta_c
             for w in sorted(nbrs):
                 if w in heavy and len(adj[w]) < delta_c:
                     self._migrate_to_light(w, changes)
@@ -221,37 +233,9 @@ class CountMaintainer(UpdateLoop):
                 return False
         return True
 
-    def _insert_counted(self, neighbors: tuple[int, ...]) -> int:
-        """Inserts a vertex and appends its count; admitting it is the caller's."""
-        v = self.g.insert_vertex(neighbors)
-        in_M = self.in_M
-        self.count.append(sum(1 for w in neighbors if w in in_M))
-        self.meter.touch(len(neighbors))
-        return v
-
-    def _delete_counted(self, v: int, changes: Changes) -> tuple[set[int], list[int]]:
-        """Deletes ``v``, first out of ``in_M``.
-
-        Returns its former neighbours and those its leave freed (none if it
-        was not a member), none admitted yet.
-        """
-        self.g._require(v)
-        nbrs = self.g.adj[v]  # the set outlives v's deletion from the graph
-        # the walk over v's neighbours costs deg v once, charged by the leave
-        # when v is a member
-        if v in self.in_M:
-            freed = self._leave(v, changes)
-        else:
-            freed = []
-            self.meter.touch(len(nbrs))
-        self.g.delete_vertex(v)
-        self.count[v] = 0
-        return nbrs, freed
-
     def _leave(self, v: int, changes: Changes) -> list[int]:
         """Takes ``v`` out of ``in_M``; returns the neighbours whose count fell to zero."""
         self.in_M.discard(v)
-        self.meter.adjust()
         changes.append(("leave", v))
         nbrs, count = self.g.adj[v], self.count
         freed = []
@@ -266,11 +250,10 @@ class CountMaintainer(UpdateLoop):
         """Adds ``v`` to ``in_M`` and logs its entry in ``changes``.
 
         With ``changes`` None, v was in mis() already: its neighbours' counts
-        rise, but no entry is logged or counted.
+        rise, but no entry is logged.
         """
         self.in_M.add(v)
         if changes is not None:
-            self.meter.adjust()
             changes.append(("enter", v))
         nbrs, count = self.g.adj[v], self.count
         for w in nbrs:

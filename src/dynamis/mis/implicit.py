@@ -148,6 +148,7 @@ class ImplicitMis(UpdateLoop):
     # -- internals -------------------------------------------------------
 
     def _enter_S(self, v: int) -> None:
+        # a query admission, logged nowhere, so it counts its own adjustment
         self.in_S.add(v)
         self.meter.adjust()
         nbrs, hcount = self.g.adj[v], self.hcount
@@ -157,7 +158,6 @@ class ImplicitMis(UpdateLoop):
 
     def _leave_S(self, v: int, changes: Changes) -> None:
         self.in_S.discard(v)
-        self.meter.adjust()
         changes.append(("leave", v))
         nbrs, hcount = self.g.adj[v], self.hcount
         for x in nbrs & self.tracked:

@@ -125,7 +125,6 @@ class TwoLevelMis(CountMaintainer):
             changes.append(("leave", v))
         for v in sorted(after - before):
             changes.append(("enter", v))
-        self.meter.adjust(len(before ^ after))
 
     # -- heavy MIS -------------------------------------------------------
 

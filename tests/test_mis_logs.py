@@ -4,7 +4,8 @@
 from the maintained set just before the update (``mis()``, or
 ``independent_set()`` for mis-implicit), each leave must name a member and
 each enter a non-member, and the set the log leaves must be the one the
-algorithm maintains after the update.  Queries run between updates, so
+algorithm maintains after the update, and the meter must count one
+adjustment per entry, no more.  Queries run between updates, so
 mis-implicit's query admissions are read into the next update's start.  As
 in the pinned replays, mis-implicit gets each vertex inserted with
 neighbours as an isolated insertion followed by its edges.
@@ -57,3 +58,4 @@ def test_every_log_replays(algorithm, seed):
         before = current(alg)
         changes = alg.apply(event).changes
         assert _replay(before, changes) == current(alg), (i, event, changes)
+        assert alg.meter.op_adjustments == len(changes), (i, event, changes)

@@ -1,7 +1,8 @@
 """The MIS family's numbers, pinned to digests of recorded replays.
 
 Each case replays one fixed seeded stream through one algorithm and hashes
-what the replay produced: every ``apply``'s ``(changes, edges_touched)``,
+what the replay produced: every ``apply``'s ``changes`` and the meter's
+``op_edges_touched`` for it,
 every query answer, the final ``meter.totals()``, ``max_op_edges_touched``
 and, for mis-2level, ``phase_rebuilds``.  A refactor that keeps the
 algorithms' behaviour keeps every digest.  A change that is meant to alter
@@ -69,7 +70,7 @@ def _digest(algorithm, name):
             record = ("?", event.v, query(event.v))
         else:
             log = alg.apply(event)
-            record = (log.changes, log.edges_touched)
+            record = (log.changes, alg.meter.op_edges_touched)
         h.update(repr(record).encode())
     final = (
         sorted(alg.meter.totals().items()),

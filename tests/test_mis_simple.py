@@ -65,7 +65,7 @@ def test_vertex_deletion_charges_its_degree_once(hub):
     alg = SimpleMis(g)
     assert (hub in alg.mis()) == (hub == 0)
     log = alg.apply(DeleteVertex(hub))
-    assert log.edges_touched == 40
+    assert alg.meter.op_edges_touched == 40
     assert alg.mis() == set(range(41)) - {hub}
     assert alg.verify()
 

@@ -52,26 +52,37 @@ def test_hub_is_heavy():
     assert is_mis(g.adj, alg.mis()).ok
 
 
-# (edges, hub, in the light MIS, heavy): a heavy 40-leaf hub (m = 40,
-# delta_c = 12), and a light degree-3 hub beside ten background edges
-# (m = 13, delta_c = 6) that enters the light MIS first (hub 0) or is
-# blocked by its leaves (hub 3)
+# (edges, hub, in the light MIS, heavy, in the heavy MIS): a heavy 40-leaf
+# hub (m = 40, delta_c = 12) gated by its leaves; a light degree-3 hub beside
+# ten background edges (m = 13, delta_c = 6) that enters the light MIS first
+# (hub 0) or is blocked by its leaves (hub 3); and a heavy hub in the heavy
+# MIS (m = 16, delta_c = 7), whose eight leaves 9..16 are each blocked by a
+# private neighbour 1..8
 _BACKGROUND = [(v, v + 1) for v in range(4, 24, 2)]
+_PRIVATE = [(i, 8 + i) for i in range(1, 9)] + [(0, 8 + i) for i in range(1, 9)]
 HUBS = (
-    ([(0, w) for w in range(1, 41)], 0, False, True),
-    ([(0, w) for w in (1, 2, 3)] + _BACKGROUND, 0, True, False),
-    ([(3, w) for w in (0, 1, 2)] + _BACKGROUND, 3, False, False),
+    ([(0, w) for w in range(1, 41)], 0, False, True, False),
+    ([(0, w) for w in (1, 2, 3)] + _BACKGROUND, 0, True, False, False),
+    ([(3, w) for w in (0, 1, 2)] + _BACKGROUND, 3, False, False, False),
+    (_PRIVATE, 0, False, True, True),
 )
 
 
-@pytest.mark.parametrize("edges,hub,member,heavy", HUBS)
-def test_vertex_deletion_charges_its_degree_once(edges, hub, member, heavy):
+@pytest.mark.parametrize("edges,hub,member,heavy,heavy_member", HUBS)
+def test_vertex_deletion_charges_its_degree_once(edges, hub, member, heavy, heavy_member):
     g = build(1 + max(max(e) for e in edges), edges)
     alg = TwoLevelMis(g)
-    assert (hub in alg.in_M, hub in alg.heavy) == (member, heavy)
+    assert (hub in alg.in_M, hub in alg.heavy, hub in alg.heavy_mis) == (member, heavy, heavy_member)
     deg = len(g.adj[hub])
     log = alg.apply(DeleteVertex(hub))
-    assert log.edges_touched == deg
+    # a phase rebuild charges what a fresh build on the graph left charges
+    rebuild = TwoLevelMis(copy.deepcopy(g)).meter.edges_touched if alg.phase_rebuilds else 0
+    assert alg.meter.op_edges_touched == deg + rebuild
+    if heavy_member:
+        # the heavy MIS rebuild logs the hub's leave, once; the halved m
+        # rebuilds the phase, which moves nothing
+        assert log.changes == [("leave", hub)] and alg.meter.op_adjustments == 1
+        assert alg.phase_rebuilds == 1
     assert alg.verify() and is_mis(alg.g.adj, alg.mis()).ok
 
 
