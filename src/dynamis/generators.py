@@ -65,17 +65,23 @@ class GenSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise GeneratorParameterError(f"{name} must lie in [0, 1], got {value}")
-        if self.family == "arbitrary-removal":
-            return gen_arbitrary_removal(self.m, self.delta)
-        if self.family == "degree-biased":
-            return gen_degree_biased(self.m)
         if self.family in ("random-edges", "random-matching"):
             return gen_random_edges(
                 self.n, self.events, self.seed, self.p_insert, self.query_rate, self.vertex_rate
             )
-        if self.family == "random-flow":
-            return gen_random_flow(self.n, self.events, self.seed, self.p_insert)
-        raise GeneratorParameterError(f"unknown family {self.family!r}")
+        if self.family not in FAMILIES:
+            raise GeneratorParameterError(f"unknown family {self.family!r}")
+        # the other families draw no queries and no vertex events
+        for name in ("query_rate", "vertex_rate"):
+            if getattr(self, name):
+                raise GeneratorParameterError(
+                    f"{name} applies to random-edges and random-matching only, not {self.family}"
+                )
+        if self.family == "arbitrary-removal":
+            return gen_arbitrary_removal(self.m, self.delta)
+        if self.family == "degree-biased":
+            return gen_degree_biased(self.m)
+        return gen_random_flow(self.n, self.events, self.seed, self.p_insert)
 
 
 def gen_arbitrary_removal(m: int, delta: int) -> UpdateStream:

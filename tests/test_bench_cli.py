@@ -329,6 +329,15 @@ def test_cli_gen_probability_out_of_range_exits_2(capsys):
     assert captured.err.startswith("error: p_insert") and captured.out == ""
 
 
+def test_cli_gen_rate_the_family_cannot_honour_exits_2(capsys):
+    args = ["gen", "--family", "random-flow", "--n", "6", "--events", "8", "--query-rate", "0.5",
+            "--vertex-rate", "0.5"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: query_rate applies to random-edges and random-matching only, not random-flow\n"
+    assert captured.out == ""
+
+
 def test_cli_run_stdin(tmp_path, capsys, monkeypatch):
     import io
 

@@ -210,6 +210,16 @@ def test_genspec_rejects_probabilities_outside_unit_interval(family, field, valu
         spec.generate()
 
 
+@pytest.mark.parametrize("family", ["arbitrary-removal", "degree-biased", "random-flow"])
+@pytest.mark.parametrize("field", ["query_rate", "vertex_rate"])
+def test_genspec_rejects_rates_the_family_cannot_honour(family, field):
+    # these families draw no queries and no vertex events, so a nonzero rate
+    # would be silently dropped
+    spec = GenSpec(family, m=64, delta=8, n=6, events=20, **{field: 0.5})
+    with pytest.raises(GeneratorParameterError, match=f"{field} applies to random-edges and random-matching only"):
+        spec.generate()
+
+
 def test_genspec_accepts_unit_interval_ends():
     for p in (0.0, 1.0):
         spec = GenSpec("random-edges", n=6, events=20, p_insert=p, query_rate=p, vertex_rate=p)
