@@ -69,8 +69,6 @@ class GenSpec:
             return gen_random_edges(
                 self.n, self.events, self.seed, self.p_insert, self.query_rate, self.vertex_rate
             )
-        if self.family not in FAMILIES:
-            raise GeneratorParameterError(f"unknown family {self.family!r}")
         # the other families draw no queries and no vertex events
         for name in ("query_rate", "vertex_rate"):
             if getattr(self, name):
@@ -81,7 +79,9 @@ class GenSpec:
             return gen_arbitrary_removal(self.m, self.delta)
         if self.family == "degree-biased":
             return gen_degree_biased(self.m)
-        return gen_random_flow(self.n, self.events, self.seed, self.p_insert)
+        if self.family == "random-flow":
+            return gen_random_flow(self.n, self.events, self.seed, self.p_insert)
+        raise GeneratorParameterError(f"unknown family {self.family!r}")
 
 
 def gen_arbitrary_removal(m: int, delta: int) -> UpdateStream:
