@@ -199,12 +199,13 @@ def replay(
     return report
 
 
-def stream_for_size(family: str, m: int, seed: int = 0) -> UpdateStream:
+def stream_for_size(family: str, m: int, seed: int | None = None) -> UpdateStream:
     """An insertion-only stream of the family with an edge budget of ``m``."""
     if family not in FAMILIES:
         raise IncompatibleStreamError(f"unknown family {family!r}")
-    n = max(16, 2 * isqrt(m))
-    return GenSpec(family, m=m, delta=ceil_root(m, 1, 2), n=n, events=m, seed=seed, p_insert=1.0).generate()
+    sizing = {"m": m, "delta": ceil_root(m, 1, 2), "n": max(16, 2 * isqrt(m)), "events": m, "p_insert": 1.0}
+    reads = FAMILIES[family][1]
+    return GenSpec(family, seed=seed, **{k: v for k, v in sizing.items() if k in reads}).generate()
 
 
 def fit_slope(sizes: list[int], totals: list[int]) -> float:
@@ -216,7 +217,7 @@ def fit_slope(sizes: list[int], totals: list[int]) -> float:
     return linear_regression(xs, ys).slope
 
 
-def scaling(algorithm: str, family: str, sizes: list[int], seed: int = 0) -> dict:
+def scaling(algorithm: str, family: str, sizes: list[int], seed: int | None = None) -> dict:
     per_size = []
     for m in sizes:
         stream = stream_for_size(family, m, seed)

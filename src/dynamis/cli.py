@@ -32,10 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--verify", action="store_true", help="audit after every event")
     p_run.add_argument("--report", metavar="FILE", help="also write the JSON report here")
 
-    # a GenSpec option left out keeps GenSpec's own default
-    p_gen = sub.add_parser("gen", help="write a generated stream", argument_default=argparse.SUPPRESS)
+    # an option left out takes the family's default; one it does not read is rejected
+    p_gen = sub.add_parser("gen", help="write a generated stream")
     p_gen.add_argument("--family", choices=FAMILIES, required=True)
-    p_gen.add_argument("--m", type=int, help="edge budget")
+    p_gen.add_argument("--m", type=int, help="edge budget (arbitrary-removal, degree-biased)")
     p_gen.add_argument("--delta", type=int, help="max degree (arbitrary-removal)")
     p_gen.add_argument("--n", type=int, help="vertex budget (random families)")
     p_gen.add_argument("--events", type=int)
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--p-insert", type=float)
     p_gen.add_argument("--query-rate", type=float)
     p_gen.add_argument("--vertex-rate", type=float)
-    p_gen.add_argument("--out", metavar="FILE", default=None, help="output path (default stdout)")
+    p_gen.add_argument("--out", metavar="FILE", help="output path (default stdout)")
 
     p_sc = sub.add_parser("scaling", help="fit a log-log work slope over stream sizes")
     p_sc.add_argument("algorithm", choices=ALGORITHMS)
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="4096,8192,16384,32768,65536",
         help="comma-separated edge budgets",
     )
-    p_sc.add_argument("--seed", type=int, default=0)
+    p_sc.add_argument("--seed", type=int, help="stream seed (random families)")
     p_sc.add_argument("--report", metavar="FILE", help="also write the JSON report here")
     return parser
 
@@ -73,7 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec) if hasattr(args, f.name)})
+    spec = GenSpec(**{f.name: getattr(args, f.name) for f in fields(GenSpec)})
     text = serialize_stream(spec.generate())
     if args.out:
         with open(args.out, "w") as fh:

@@ -3,6 +3,9 @@
 Every stream is a pure function of its family, parameters and seed: the same
 ``GenSpec`` gives the same events, and so the same stream text, on every run.
 
+``FAMILIES``, at the end of the module, is the one place to add a family: a
+row names its generator and the ``GenSpec`` fields it reads.
+
 The two adversarial families drive the eviction policies into their
 worst-case regimes: ``arbitrary-removal`` makes first-endpoint eviction pay a
 full neighbor scan on almost every insertion, ``degree-biased`` does the same
@@ -25,63 +28,54 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
+from inspect import signature
 from math import isqrt
 from typing import Callable
 
 from .errors import GeneratorParameterError
-from .stream import (
-    DeleteEdge,
-    DeleteVertex,
-    InsertEdge,
-    InsertVertex,
-    QueryInMis,
-    UpdateStream,
-)
-
-FAMILIES = (
-    "arbitrary-removal",
-    "degree-biased",
-    "random-edges",
-    "random-flow",
-    "random-matching",
-)
+from .stream import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex, QueryInMis, UpdateStream
 
 
 @dataclass
 class GenSpec:
+    """A family and the fields it reads; a field left at None takes the generator's default."""
+
     family: str
-    m: int = 0
-    delta: int = 0
-    n: int = 10
-    events: int = 100
-    seed: int = 0
-    p_insert: float = 0.7
-    query_rate: float = 0.0
-    vertex_rate: float = 0.0
+    m: int | None = None
+    delta: int | None = None
+    n: int | None = None
+    events: int | None = None
+    seed: int | None = None
+    p_insert: float | None = None
+    query_rate: float | None = None
+    vertex_rate: float | None = None
 
     def generate(self) -> UpdateStream:
         for name in ("p_insert", "query_rate", "vertex_rate"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise GeneratorParameterError(f"{name} must lie in [0, 1], got {value}")
-        if self.family in ("random-edges", "random-matching"):
-            return gen_random_edges(
-                self.n, self.events, self.seed, self.p_insert, self.query_rate, self.vertex_rate
-            )
-        # the other families draw no queries and no vertex events
-        for name in ("query_rate", "vertex_rate"):
-            if getattr(self, name):
-                raise GeneratorParameterError(
-                    f"{name} applies to random-edges and random-matching only, not {self.family}"
-                )
-        if self.family == "arbitrary-removal":
-            return gen_arbitrary_removal(self.m, self.delta)
-        if self.family == "degree-biased":
-            return gen_degree_biased(self.m)
-        if self.family == "random-flow":
-            return gen_random_flow(self.n, self.events, self.seed, self.p_insert)
-        raise GeneratorParameterError(f"unknown family {self.family!r}")
+        if self.family not in FAMILIES:
+            raise GeneratorParameterError(f"unknown family {self.family!r}")
+        gen, reads = FAMILIES[self.family]
+        given = {f.name: getattr(self, f.name) for f in fields(self)[1:] if getattr(self, f.name) is not None}
+        for name in given:
+            if name not in reads:
+                readers = [family for family, (_, names) in FAMILIES.items() if name in names]
+                raise GeneratorParameterError(f"{name} applies to {_and(readers)} only, not {self.family}")
+        missing = [k for k, p in _signature(gen).parameters.items() if p.default is p.empty and k not in given]
+        if missing:
+            raise GeneratorParameterError(f"{self.family} needs {_and(missing)}")
+        return gen(**given)
+
+
+_signature = cache(signature)  # one inspection per generator, not one per generate
+
+
+def _and(names: list[str]) -> str:  # a; a and b; a, b and c
+    return names[-1] if len(names) == 1 else f"{', '.join(names[:-1])} and {names[-1]}"
 
 
 def gen_arbitrary_removal(m: int, delta: int) -> UpdateStream:
@@ -192,9 +186,9 @@ def _draws(rng: random.Random) -> tuple[Callable[[int], int], Callable[[list], t
 
 
 def gen_random_edges(
-    n: int,
-    events: int,
-    seed: int,
+    n: int = 10,
+    events: int = 100,
+    seed: int = 0,
     p_insert: float = 0.7,
     query_rate: float = 0.0,
     vertex_rate: float = 0.0,
@@ -284,7 +278,7 @@ def gen_random_edges(
     return stream
 
 
-def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> UpdateStream:
+def gen_random_flow(n: int = 10, events: int = 100, seed: int = 0, p_insert: float = 0.7) -> UpdateStream:
     """Seeded directed stream with source 0 and sink n-1."""
     if n < 2 or events < 0:
         raise GeneratorParameterError("need n >= 2 and events >= 0")
@@ -322,3 +316,12 @@ def gen_random_flow(n: int, events: int, seed: int, p_insert: float = 0.7) -> Up
             append(new(DeleteEdge, arc))
             arcs.remove(arc)
     return stream
+
+
+FAMILIES: dict[str, tuple[Callable[..., UpdateStream], tuple[str, ...]]] = {
+    "arbitrary-removal": (gen_arbitrary_removal, ("m", "delta")),
+    "degree-biased": (gen_degree_biased, ("m",)),
+    "random-edges": (gen_random_edges, ("n", "events", "seed", "p_insert", "query_rate", "vertex_rate")),
+    "random-flow": (gen_random_flow, ("n", "events", "seed", "p_insert")),
+    "random-matching": (gen_random_edges, ("n", "events", "seed", "p_insert", "query_rate", "vertex_rate")),
+}

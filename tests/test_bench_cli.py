@@ -11,7 +11,7 @@ import pytest
 from dynamis import UpdateStream, parse_stream, serialize_stream
 from dynamis.bench import ALGORITHMS, REGISTRY, check_compatible, replay, scaling, stream_for_size
 from dynamis.cli import _emit, main
-from dynamis.errors import IncompatibleStreamError
+from dynamis.errors import GeneratorParameterError, IncompatibleStreamError
 from dynamis.generators import (
     FAMILIES,
     GenSpec,
@@ -164,12 +164,28 @@ def _reference_stream_for_size(family, m, seed=0):
     raise IncompatibleStreamError(f"unknown family {family!r}")
 
 
+DETERMINISTIC = ("arbitrary-removal", "degree-biased")
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("m", [64, 256, 4096])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_stream_for_size_matches_reference(family, m, seed):
     want = serialize_stream(_reference_stream_for_size(family, m, seed))
-    assert serialize_stream(stream_for_size(family, m, seed)) == want
+    # the deterministic families draw nothing and take no seed
+    got = stream_for_size(family, m) if family in DETERMINISTIC else stream_for_size(family, m, seed)
+    assert serialize_stream(got) == want
+
+
+@pytest.mark.parametrize("family", DETERMINISTIC)
+def test_stream_for_size_rejects_a_seed_on_a_deterministic_family(family):
+    with pytest.raises(GeneratorParameterError, match=f"^seed applies to .* only, not {family}$"):
+        stream_for_size(family, 256, 0)
+
+
+@pytest.mark.parametrize("family", ["random-edges", "random-flow", "random-matching"])
+def test_stream_for_size_without_a_seed_draws_seed_0(family):
+    assert serialize_stream(stream_for_size(family, 256)) == serialize_stream(stream_for_size(family, 256, 0))
 
 
 def test_scaling_report_shape():
@@ -336,6 +352,29 @@ def test_cli_gen_rate_the_family_cannot_honour_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: query_rate applies to random-edges and random-matching only, not random-flow\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["gen", "--family", "degree-biased", "--m", "64", "--p-insert", "0.3", "--seed", "9", "--n", "5"], "n"),
+        (["gen", "--family", "degree-biased", "--m", "64", "--p-insert", "0.3"], "p_insert"),
+        (["gen", "--family", "random-flow", "--n", "6", "--events", "8", "--m", "1000", "--delta", "3"], "m"),
+        (["gen", "--family", "random-edges", "--delta", "3"], "delta"),
+        (["scaling", "mis-simple", "arbitrary-removal", "--sizes", "64,256", "--seed", "4"], "seed"),
+        (["scaling", "mis-inc", "degree-biased", "--sizes", "64,256", "--seed", "0"], "seed"),
+    ],
+)
+def test_cli_option_the_family_does_not_read_exits_2(args, option, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option} applies to ") and captured.out == ""
+
+
+@pytest.mark.parametrize("family, needs", [("arbitrary-removal", "m and delta"), ("degree-biased", "m")])
+def test_cli_gen_without_a_required_option_exits_2(family, needs, capsys):
+    assert main(["gen", "--family", family]) == 2
+    assert capsys.readouterr().err == f"error: {family} needs {needs}\n"
 
 
 def test_cli_run_stdin(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+from dataclasses import fields, replace
+from inspect import Parameter, signature
+
 import pytest
 
 from dynamis import DynGraph, GenSpec, IncrementalMis, InsertEdge, SimpleMis, UpdateStream
@@ -198,6 +201,29 @@ def test_families_constant():
     assert len(FAMILIES) == 5
 
 
+# The options each family reads, as the README lists them, and a valid
+# value for each: the contract the family table must keep.
+READS = {
+    "arbitrary-removal": ("m", "delta"),
+    "degree-biased": ("m",),
+    "random-edges": ("n", "events", "seed", "p_insert", "query_rate", "vertex_rate"),
+    "random-flow": ("n", "events", "seed", "p_insert"),
+    "random-matching": ("n", "events", "seed", "p_insert", "query_rate", "vertex_rate"),
+}
+VALUES = {
+    "m": 64, "delta": 8, "n": 6, "events": 20, "seed": 3,
+    "p_insert": 0.5, "query_rate": 0.5, "vertex_rate": 0.5,
+}
+# a small valid spec of each family, setting only fields it reads
+OWN_FIELDS = {
+    "arbitrary-removal": {"m": 64, "delta": 8},
+    "degree-biased": {"m": 64},
+    "random-edges": {"n": 6, "events": 20},
+    "random-flow": {"n": 6, "events": 20},
+    "random-matching": {"n": 6, "events": 20},
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize(
     "field, value",
@@ -215,7 +241,7 @@ def test_genspec_rejects_probabilities_outside_unit_interval(family, field, valu
 def test_genspec_rejects_rates_the_family_cannot_honour(family, field):
     # these families draw no queries and no vertex events, so a nonzero rate
     # would be silently dropped
-    spec = GenSpec(family, m=64, delta=8, n=6, events=20, **{field: 0.5})
+    spec = GenSpec(family, **OWN_FIELDS[family], **{field: 0.5})
     with pytest.raises(GeneratorParameterError, match=f"{field} applies to random-edges and random-matching only"):
         spec.generate()
 
@@ -224,3 +250,54 @@ def test_genspec_accepts_unit_interval_ends():
     for p in (0.0, 1.0):
         spec = GenSpec("random-edges", n=6, events=20, p_insert=p, query_rate=p, vertex_rate=p)
         assert len(spec.generate().events) == 20
+
+
+def test_families_read_the_documented_options():
+    assert {family: reads for family, (_, reads) in FAMILIES.items()} == READS
+    assert [f.name for f in fields(GenSpec)][1:] == list(VALUES)
+
+
+@pytest.mark.parametrize(
+    "family, field", [(family, field) for family in READS for field in VALUES if field not in READS[family]]
+)
+def test_genspec_rejects_a_field_the_family_does_not_read(family, field):
+    spec = GenSpec(family, **OWN_FIELDS[family], **{field: VALUES[field]})
+    with pytest.raises(GeneratorParameterError, match=f"^{field} applies to .* only, not {family}$"):
+        spec.generate()
+
+
+def _defaults(family):
+    gen, reads = FAMILIES[family]
+    params = signature(gen).parameters
+    return [(name, params[name].default) for name in reads if params[name].default is not Parameter.empty]
+
+
+@pytest.mark.parametrize(
+    "family, field, default", [(family, *pair) for family in FAMILIES for pair in _defaults(family)]
+)
+def test_genspec_field_set_to_its_default_equals_it_unset(family, field, default):
+    # the deterministic families have no defaults, so every case here is a
+    # random family, which GenSpec(family) alone generates
+    unset = GenSpec(family)
+    at_default = replace(unset, **{field: default})
+    assert serialize_stream(at_default.generate()) == serialize_stream(unset.generate())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_fields_are_parameters_of_its_generator(family):
+    gen, reads = FAMILIES[family]
+    params = signature(gen).parameters
+    assert set(reads) <= set(params)
+    # a parameter without a default that the row leaves out could never be given
+    assert {name for name, p in params.items() if p.default is Parameter.empty} <= set(reads)
+
+
+@pytest.mark.parametrize("family, needs", [("arbitrary-removal", "m and delta"), ("degree-biased", "m")])
+def test_genspec_without_a_required_field_raises_a_parameter_error(family, needs):
+    with pytest.raises(GeneratorParameterError, match=f"^{family} needs {needs}$"):
+        GenSpec(family).generate()
+
+
+def test_genspec_names_only_the_missing_field():
+    with pytest.raises(GeneratorParameterError, match="^arbitrary-removal needs delta$"):
+        GenSpec("arbitrary-removal", m=64).generate()
