@@ -2,7 +2,8 @@
 
 Maximal independent set maintenance (simple, incremental, two-level,
 implicit), unit-capacity s-t max flow, and maximum matching, all under
-update streams, with brute-force oracles, worst-case stream generators and a
+update streams, with static oracles (checked in turn by the brute-force
+references in ``tests/reference.py``), worst-case stream generators and a
 benchmark CLI.
 """
 

@@ -227,6 +227,7 @@ def scaling(algorithm: str, family: str, sizes: list[int], seed: int | None = No
     return {
         "algorithm": algorithm,
         "family": family,
+        "seed": seed,
         "sizes": list(sizes),
         "per_size": per_size,
         "slope": round(fit_slope(sizes, totals), 4),

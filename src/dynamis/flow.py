@@ -37,9 +37,8 @@ rather than a new object; results are read-only.
 
 Within one stage (between augmentations) insertion-only tree work is linear
 in the edge count.  ``stage_touches`` records the metered work of each
-stage, as the difference of the meter's total at its two ends, and
-``current_stage_touches()`` that of the open one.  ``IncrementalFlow`` is the
-same structure with deletions rejected.
+stage, as the difference of the meter's total at its two ends.
+``IncrementalFlow`` is the same structure with deletions rejected.
 
 The residual graph is kept as adjacency sets, ``res_out[u]``, beside the
 flow flags in ``flow``: an edge gives its arc forward while empty and
@@ -120,9 +119,6 @@ class FlowNetwork:
     def residual_out(self, u: int) -> list[int]:
         """The heads of u's residual arcs, sorted (the searches read ``res_out``)."""
         return sorted(self.res_out[u])
-
-    def current_stage_touches(self) -> int:
-        return self.meter.edges_touched - self._stage_start
 
     # -- updates ---------------------------------------------------------
 

@@ -38,27 +38,8 @@ class DynGraph:
         """One past the largest id issued so far; every live id is below it."""
         return self._next_id
 
-    def is_live(self, v: int) -> bool:
-        return v in self.adj
-
-    def degree(self, v: int) -> int:
-        self._require(v)
-        return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.adj and v in self.adj[u]
-
     def vertices(self) -> Iterator[int]:
         return iter(self.adj)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in self.adj.items():
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
-
-    def max_degree(self) -> int:
-        return max((len(s) for s in self.adj.values()), default=0)
 
     # -- updates ---------------------------------------------------------
 
@@ -110,20 +91,6 @@ class DynGraph:
             self.adj[w].discard(v)
         self.m -= len(self.adj[v])
         del self.adj[v]
-
-    # -- auditing --------------------------------------------------------
-
-    def audit(self) -> bool:
-        """Full-scan check of symmetry, simplicity and the edge count."""
-        total = 0
-        for u, nbrs in self.adj.items():
-            if u in nbrs:
-                return False
-            for v in nbrs:
-                if v not in self.adj or u not in self.adj[v]:
-                    return False
-            total += len(nbrs)
-        return total == 2 * self.m
 
     def _require(self, v: int) -> None:
         if v not in self.adj:

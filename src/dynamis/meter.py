@@ -78,13 +78,5 @@ class AdjustmentLog:
 
     changes: Changes
 
-    @property
-    def removed(self) -> list[int]:
-        return [v for op, v in self.changes if op == "leave"]
-
-    @property
-    def added(self) -> list[int]:
-        return [v for op, v in self.changes if op == "enter"]
-
 
 QUIET_LOG = AdjustmentLog([])

@@ -42,7 +42,6 @@ class TwoLevelMis(CountMaintainer):
         self.g = g
         self.meter = CostMeter()
         self.phase_rebuilds = 0
-        self.last_heavy_rebuild_touches = 0
         # every vertex starts in the state an isolated vertex keeps across
         # phases; the phase set-up then rebuilds the non-isolated ones
         self.heavy: set[int] = set()
@@ -99,14 +98,12 @@ class TwoLevelMis(CountMaintainer):
         self.heavy_mis = self._rebuild_heavy_mis()
 
     def _settle(self, changes: Changes) -> None:
+        # with no heavy vertex and no heavy MIS the greedy would choose nothing
         if self.heavy or self.heavy_mis:
             chosen = self._rebuild_heavy_mis()
             if chosen != self.heavy_mis:
                 self._log_change(changes, self.heavy_mis, chosen)
                 self.heavy_mis = chosen
-        else:
-            # the greedy would touch nothing and choose nothing
-            self.last_heavy_rebuild_touches = 0
         m = self.g.m
         if m <= self.m_c // 2 or m >= 2 * self.m_c:
             self._phase_rebuild(changes)
@@ -140,5 +137,4 @@ class TwoLevelMis(CountMaintainer):
             if adj[v].isdisjoint(chosen):
                 chosen.add(v)
         self.meter.touch(touched)
-        self.last_heavy_rebuild_touches = touched
         return chosen

@@ -8,17 +8,16 @@ scratch.  ``static_max_matching`` takes an optional start, the module's own
 matching, and searches on from it when it is a valid matching: a maximum
 start then costs about one pass over the graph instead of a full
 recomputation, while any start, or none, still yields the exact optimum, so
-a module whose matching is valid but short of the optimum fails the check.  The
-enumerations (``min_cut_enumerate``, ``exhaustive_max_matching``) are
-exponential and only cross-check the other oracles in tests.
+a module whose matching is valid but short of the optimum fails the check.
+The exponential enumerations that cross-check these oracles in tests live in
+``tests/reference.py``, which likewise imports nothing from ``dynamis``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 @dataclass
@@ -38,15 +37,6 @@ def is_mis(adj: Mapping[int, set[int]], mis: set[int]) -> OracleReport:
         if v not in mis and adj[v].isdisjoint(mis):
             return OracleReport(False, f"vertex {v} outside the set has no neighbor in it")
     return OracleReport(True)
-
-
-def static_mis(adj: Mapping[int, set[int]], order: Sequence[int] | None = None) -> set[int]:
-    """Greedy MIS in the given vertex order (ascending id by default)."""
-    mis: set[int] = set()
-    for v in sorted(adj) if order is None else order:
-        if not (adj[v] & mis):
-            mis.add(v)
-    return mis
 
 
 # -- unit-capacity max flow ----------------------------------------------
@@ -85,18 +75,6 @@ def static_max_flow(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s
             back[u] = back.get(u, 0) + 1
             v = u
         value += 1
-
-
-def min_cut_enumerate(vertices: Iterable[int], edges: Iterable[tuple[int, int]], s: int, t: int) -> int:
-    """Minimum s-t cut by enumerating all vertex bipartitions (tiny nets only)."""
-    others = [v for v in vertices if v not in (s, t)]
-    edge_list = list(edges)
-    best = len(edge_list)
-    for r in range(len(others) + 1):
-        for side in combinations(others, r):
-            src = set(side) | {s}
-            best = min(best, sum(1 for u, v in edge_list if u in src and v not in src))
-    return best
 
 
 # -- maximum cardinality matching ----------------------------------------
@@ -201,26 +179,3 @@ def static_max_matching(adj: Mapping[int, set[int]], start: Mapping[int, int] | 
         if v not in mate and v not in dead and adj[v]:
             search(v)
     return len(mate) // 2
-
-
-def exhaustive_max_matching(adj: Mapping[int, set[int]]) -> int:
-    """Exact maximum matching by branching on the lowest free vertex (n <= ~12)."""
-    ids = sorted(adj)
-
-    def recurse(i: int, used: set[int]) -> int:
-        while i < len(ids) and ids[i] in used:
-            i += 1
-        if i == len(ids):
-            return 0
-        v = ids[i]
-        best = recurse(i + 1, used)
-        for w in adj[v]:
-            if w > v and w not in used:
-                used.add(v)
-                used.add(w)
-                best = max(best, 1 + recurse(i + 1, used))
-                used.discard(v)
-                used.discard(w)
-        return best
-
-    return recurse(0, set())

@@ -330,6 +330,17 @@ def test_cli_scaling_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "family, seed_args, seed",
+    [("random-edges", ["--seed", "4"], 4), ("arbitrary-removal", [], None)],
+)
+def test_cli_scaling_report_records_the_seed(family, seed_args, seed, capsys):
+    assert main(["scaling", "mis-simple", family, "--sizes", "64,256", *seed_args]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report)[:3] == ["algorithm", "family", "seed"]
+    assert report["seed"] == seed
+
+
+@pytest.mark.parametrize(
     "sizes", ["4096,abc", "4096", "4096,4096", ",", "0,4096", "-256,4096", "256,1.5"]
 )
 def test_cli_scaling_bad_sizes_exit_2(sizes, capsys):

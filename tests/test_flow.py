@@ -196,7 +196,7 @@ def test_incremental_stage_work_linear():
             continue
         arcs.add((u, v))
         inc.insert_edge(u, v)
-        assert inc.current_stage_touches() <= 8 * max(inc.m, 1)
+        assert inc.meter.edges_touched - inc._stage_start <= 8 * max(inc.m, 1)
     for stage in inc.stage_touches:
         assert stage <= 8 * max(inc.m, 1)
 
@@ -463,9 +463,9 @@ def test_verify_does_not_touch_the_meter(cls):
     net = cls(6, 0, 5)
     for u, v in [(0, 1), (1, 2), (2, 5), (0, 3), (3, 4)]:
         net.insert_edge(u, v)
-    before = (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches())
+    before = (net.meter.edges_touched, net.meter.op_edges_touched, net._stage_start)
     assert net.verify()
-    assert (net.meter.edges_touched, net.meter.op_edges_touched, net.current_stage_touches()) == before
+    assert (net.meter.edges_touched, net.meter.op_edges_touched, net._stage_start) == before
 
 
 # -- the residual adjacency sets ----------------------------------------------

@@ -63,7 +63,7 @@ def test_arbitrary_removal_evicts_block_every_phase():
         evicted_a = set()
         for e in stream.events[j * per_phase : (j + 1) * per_phase]:
             log = alg.apply(e)
-            evicted_a |= {v for v in log.removed if v < k}
+            evicted_a |= {v for op, v in log.changes if op == "leave" and v < k}
         assert evicted_a == set(range(k))
         assert alg.verify()
 
@@ -123,7 +123,7 @@ def test_degree_biased_evicts_block_every_phase():
         evicted_a = set()
         for e in stream.events[pos : pos + k + 1]:
             log = alg.apply(e)
-            evicted_a |= {v for v in log.removed if v < k}
+            evicted_a |= {v for op, v in log.changes if op == "leave" and v < k}
         pos += k + 1
         assert evicted_a == set(range(k))
         assert alg.verify()
@@ -148,19 +148,19 @@ def test_random_edges_replayable():
     g = DynGraph(stream.n)
     for e in stream.events:
         if isinstance(e, InsertEdge):
-            assert not g.has_edge(e.u, e.v)
+            assert e.v not in g.adj[e.u]
             g.insert_edge(e.u, e.v)
         elif isinstance(e, DeleteEdge):
-            assert g.has_edge(e.u, e.v)
+            assert e.v in g.adj[e.u]
             g.delete_edge(e.u, e.v)
         elif isinstance(e, InsertVertex):
             g.insert_vertex(e.neighbors)
         elif isinstance(e, DeleteVertex):
-            assert g.is_live(e.v)
+            assert e.v in g.adj
             g.delete_vertex(e.v)
         else:
             assert isinstance(e, QueryInMis)
-            assert g.is_live(e.v)
+            assert e.v in g.adj
 
 
 def test_random_edges_parameter_checks():

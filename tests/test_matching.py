@@ -17,7 +17,8 @@ from dynamis import (
 from dynamis.errors import IncompatibleStreamError, NotFreeError, NotIncrementalError
 from dynamis.generators import gen_random_edges
 from dynamis.matching import EVEN
-from dynamis.oracles import exhaustive_max_matching, static_max_matching
+from dynamis.oracles import static_max_matching
+from reference import exhaustive_max_matching
 from test_flow import CountingSet
 
 
@@ -276,7 +277,7 @@ def test_incremental_isolated_vertex_event():
     inc = IncrementalMatching()
     delta = inc.apply(InsertVertex(()))
     assert delta.delta == 0
-    assert inc.g.is_live(0)
+    assert 0 in inc.g.adj
 
 
 def _random_graph(rng, n, m):
@@ -309,7 +310,7 @@ def test_fully_dynamic_random_matches_oracle(seed):
     for _ in range(150):
         if rng.random() < 0.6 or not edges:
             u, v = rng.randrange(n), rng.randrange(n)
-            if u == v or alg.g.has_edge(u, v):
+            if u == v or v in alg.g.adj[u]:
                 continue
             edges.add((min(u, v), max(u, v)))
             alg.apply(InsertEdge(u, v))
@@ -360,7 +361,7 @@ def test_incremental_equals_dynamic_on_insertions(seed):
 def _check_matching(alg):
     for u, v in alg.mate.items():
         assert alg.mate.get(v) == u, (u, v)
-        assert alg.g.has_edge(u, v), (u, v)
+        assert v in alg.g.adj[u], (u, v)
     assert alg.cardinality == static_max_matching(alg.g.adj)
 
 
@@ -435,7 +436,7 @@ def test_augment_on_graph_with_deleted_ids(seed):
         if v not in mate:
             alg.augment_from(v)
     for u, v in mate.items():
-        assert mate[v] == u and g.has_edge(u, v)
+        assert mate[v] == u and v in g.adj[u]
     assert len(mate) // 2 == static_max_matching(g.adj)
     for v in g.vertices():
         if v not in mate:
@@ -476,7 +477,7 @@ def _audit_forest(alg):
         y, steps = mate.get(x), 0
         while y is not None:
             z = parent[y]
-            assert g.has_edge(y, z) and mate[y] != z, (x, y, z)
+            assert z in g.adj[y] and mate[y] != z, (x, y, z)
             y = mate.get(z)
             steps += 1
             assert steps <= len(g.adj), "the walk does not reach a root"

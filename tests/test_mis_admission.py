@@ -4,7 +4,7 @@ Each reference subclass keeps the earlier code verbatim: a leave hands over
 the leaving vertex's whole neighbourhood, admission sorts the whole
 candidate set and tests every member, and mis-2level's phase rebuild walks
 every vertex.  Two things follow the current handlers: liveness is
-tested with ``g.is_live``, since the counts are id-indexed lists, and
+tested as ``w in g.adj``, since the counts are id-indexed lists, and
 mis-2level's reference keeps no index of heavy neighbours, so a heavy vertex
 insertion charges a single pass over its neighbours.  Every
 ``apply`` must log the same changes in the same order and charge the same
@@ -38,7 +38,7 @@ class ReferenceSimpleMis(SimpleMis):
 
     def _admit_zeros(self, candidates, changes):
         for w in sorted(candidates):
-            if self.g.is_live(w) and w not in self.in_M and self.count[w] == 0:
+            if w in self.g.adj and w not in self.in_M and self.count[w] == 0:
                 self._enter(w, changes)
 
 
@@ -101,7 +101,7 @@ class ReferenceTwoLevelMis(TwoLevelMis):
     def _admit_zeros(self, candidates, changes):
         for w in sorted(candidates):
             if (
-                self.g.is_live(w)
+                w in self.g.adj
                 and w not in self.heavy
                 and w not in self.in_M
                 and self.count[w] == 0

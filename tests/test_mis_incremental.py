@@ -17,7 +17,7 @@ def test_lower_degree_endpoint_removed():
         alg.apply(InsertEdge(1, w))
     assert 0 in alg.in_M and 1 in alg.in_M
     log = alg.apply(InsertEdge(0, 1))
-    assert log.removed == [0]
+    assert [v for op, v in log.changes if op == "leave"] == [0]
     assert alg.verify()
 
 
@@ -30,7 +30,7 @@ def test_tie_evicts_higher_id():
         alg.apply(InsertEdge(9, w))  # helpers already out: no conflict
     assert 4 in alg.in_M and 9 in alg.in_M
     log = alg.apply(InsertEdge(4, 9))  # both reach degree 3
-    assert log.removed == [9]
+    assert [v for op, v in log.changes if op == "leave"] == [9]
 
 
 def test_mixed_membership_no_adjustment():
@@ -66,7 +66,7 @@ def test_isolated_vertex_insert_accepted():
     g = DynGraph(0)
     alg = IncrementalMis(g)
     log = alg.apply(InsertVertex(()))
-    assert log.added == [0]
+    assert [v for op, v in log.changes if op == "enter"] == [0]
 
 
 def test_total_work_starts_zero():
@@ -104,7 +104,7 @@ def test_random_insertions_stay_mis(seed):
     rng.shuffle(pairs)
     for u, v in pairs[:45]:
         log = alg.apply(InsertEdge(u, v))
-        assert len(log.removed) <= 1
+        assert [op for op, _ in log.changes].count("leave") <= 1
         assert alg.verify()
         assert is_mis(g.adj, alg.mis()).ok
 
@@ -121,4 +121,4 @@ def test_sqrt_m_work_bound(seed):
     for u, v in pairs[:m]:
         alg.apply(InsertEdge(u, v))
     assert alg.meter.edges_touched <= 30 * m * m ** 0.5
-    assert alg.meter.edges_touched <= 30 * m * g.max_degree()
+    assert alg.meter.edges_touched <= 30 * m * max(map(len, g.adj.values()))

@@ -40,7 +40,7 @@ def test_init_empty_graph():
 def test_insert_between_members_first_endpoint():
     alg = SimpleMis(build(3, [(0, 1), (1, 2)]))
     log = alg.apply(InsertEdge(0, 2))
-    assert log.removed == [0]
+    assert [v for op, v in log.changes if op == "leave"] == [0]
     assert alg.mis() == {2} or is_mis(alg.g.adj, alg.mis()).ok
     assert alg.verify()
 
@@ -52,8 +52,7 @@ def test_delete_mis_center_of_star():
     alg = SimpleMis(g)
     assert alg.mis() == {0}
     log = alg.apply(DeleteVertex(0))
-    assert log.removed == [0]
-    assert log.added == [1, 2, 3]
+    assert log.changes == [("leave", 0), ("enter", 1), ("enter", 2), ("enter", 3)]
     assert alg.mis() == {1, 2, 3}
 
 
@@ -82,14 +81,14 @@ def test_delete_edge_admits_freed_vertex():
     alg = SimpleMis(build(3, [(0, 1), (1, 2)]))
     alg.apply(DeleteEdge(0, 1))
     log = alg.apply(DeleteEdge(1, 2))
-    assert log.added == [1]
+    assert [v for op, v in log.changes if op == "enter"] == [1]
     assert alg.mis() == {0, 1, 2}
 
 
 def test_insert_vertex_counts():
     alg = SimpleMis(build(2, [(0, 1)]))
     log = alg.apply(InsertVertex((1,)))
-    assert log.added == [2]
+    assert [v for op, v in log.changes if op == "enter"] == [2]
     assert alg.mis() == {0, 2}
     log = alg.apply(InsertVertex((0, 2)))
     assert log.changes == []
@@ -189,7 +188,8 @@ def test_random_streams_stay_mis(seed):
     alg = SimpleMis(g)
     for event in _random_stream(rng, 10, 120):
         log = alg.apply(event)
-        assert len(log.removed) <= 1, "more than one vertex left M in one update"
+        leaves = [op for op, _ in log.changes].count("leave")
+        assert leaves <= 1, "more than one vertex left M in one update"
         assert alg.verify()
         assert is_mis(g.adj, alg.mis()).ok
 
@@ -216,7 +216,7 @@ def test_decremental_work_bound(seed):
     m_initial = g.m
     alg = SimpleMis(g)
     alg.meter.edges_touched = 0
-    deletions = sorted(g.edges())
+    deletions = sorted((u, v) for u in g.adj for v in g.adj[u] if u < v)
     rng.shuffle(deletions)
     for u, v in deletions:
         alg.apply(DeleteEdge(u, v))

@@ -18,6 +18,25 @@ from dynamis.mis.base import ceil_root
 from dynamis.oracles import is_mis
 
 
+class HeavyRebuildProbe(TwoLevelMis):
+    """mis-2level that records what the update's last heavy-MIS rebuild touched.
+
+    ``apply`` sets ``last_heavy_rebuild_touches`` to 0, so an update that
+    skips the rebuild reads 0, and each ``_rebuild_heavy_mis`` sets it to the
+    meter's growth across that rebuild.
+    """
+
+    def apply(self, event):
+        self.last_heavy_rebuild_touches = 0
+        return super().apply(event)
+
+    def _rebuild_heavy_mis(self):
+        before = self.meter.edges_touched
+        chosen = super()._rebuild_heavy_mis()
+        self.last_heavy_rebuild_touches = self.meter.edges_touched - before
+        return chosen
+
+
 def build(n, edges):
     g = DynGraph(n)
     for u, v in edges:
@@ -105,7 +124,7 @@ def test_insert_between_light_members():
     g = build(8, [(0, 1), (2, 3), (4, 5)])
     alg = TwoLevelMis(g)
     log = alg.apply(InsertEdge(0, 2))
-    assert len(log.removed) <= 1
+    assert [op for op, _ in log.changes].count("leave") <= 1
     assert alg.verify()
     assert is_mis(g.adj, alg.mis()).ok
 
@@ -220,10 +239,10 @@ def _random_event(rng, g):
         r = rng.random()
         if r < 0.45 and len(live) >= 2:
             u, v = rng.sample(live, 2)
-            if not g.has_edge(u, v):
+            if v not in g.adj[u]:
                 return InsertEdge(u, v)
         elif r < 0.7:
-            edges = sorted(g.edges())
+            edges = sorted((u, v) for u in g.adj for v in g.adj[u] if u < v)
             if edges:
                 return DeleteEdge(*rng.choice(edges))
         elif r < 0.85:
@@ -252,7 +271,7 @@ def test_random_streams_stay_mis(seed):
 def test_heavy_rebuild_budget(seed):
     rng = random.Random(70 + seed)
     g = DynGraph(20)
-    alg = TwoLevelMis(g)
+    alg = HeavyRebuildProbe(g)
     for _ in range(300):
         event = _random_event(rng, g)
         if event is None:

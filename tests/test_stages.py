@@ -27,8 +27,6 @@ def test_stages_sum_to_the_work_since_construction(algorithm):
         for event in stream.events:
             alg.apply(event)
             open_stage = alg.meter.edges_touched - alg._stage_start
-            if algorithm.startswith("flow"):
-                assert alg.current_stage_touches() == open_stage
             assert sum(alg.stage_touches) + open_stage == alg.meter.edges_touched - start, event
         stages += len(alg.stage_touches)
     assert stages > 0
